@@ -242,12 +242,12 @@ def _all_attacks(g: Graph, cm: CostModel, params: EnergyParams) -> list[tuple[At
             strong = g.incident_edges(strong_nodes)
             normal = g.incident_edges(normal_nodes) - strong
             action = AttackAction(strong, normal, strong_nodes=strong_nodes, normal_nodes=normal_nodes)
-            out.append((action, attack_cost(strong_nodes, normal_nodes, cm, params)))
+            out.append((action, attack_cost(strong_nodes, normal_nodes, params)))
         return out
     for marks in itertools.product((None, "normal", "strong"), repeat=len(g.edges)):
         strong = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "strong")
         normal = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "normal")
-        out.append((AttackAction(strong, normal), attack_cost(strong, normal, cm, params)))
+        out.append((AttackAction(strong, normal), attack_cost(strong, normal, params)))
     return out
 
 
@@ -366,9 +366,9 @@ class _BruteForce:
             if opp == DEFENDER:
                 cost, _ = defense_cost(action.recover, mover_action.normal, self.cm, self.def_p)
             elif action.node_mode:
-                cost = attack_cost(action.strong_nodes, action.normal_nodes, self.cm, self.att_p)
+                cost = attack_cost(action.strong_nodes, action.normal_nodes, self.att_p)
             else:
-                cost = attack_cost(action.strong, action.normal, self.cm, self.att_p)
+                cost = attack_cost(action.strong, action.normal, self.att_p)
             return action, cost
         if opp == DEFENDER:
             return self._predict_defense(t, x, sa, sd, slot.objective_end, mover_action, mover_cost)

@@ -1,8 +1,11 @@
 """Agent state evolution under the consensus protocol and the disagreement objective.
 
-All state arithmetic uses exact rationals. Equal utilities along different solver
-branches must compare equal, which float summation order would break; Fraction keeps
-every trace and tie-break bit-reproducible.
+All state arithmetic is exact: equal utilities along different solver branches must
+compare equal, which float summation order would break. Traces hold Fractions; the
+game solver passes these functions integer numerators over per-window denominators
+instead (the update is linear, so the common denominator stays outside) and converts
+back to Fraction only for the plan's utility. Every trace and tie-break is
+bit-reproducible.
 """
 
 from __future__ import annotations

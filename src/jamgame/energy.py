@@ -100,7 +100,7 @@ def budget_at(p: EnergyParams, k: int) -> Fraction:
     return p.kappa + p.rho * k
 
 
-def attack_cost(strong, normal, cm: CostModel, p: EnergyParams) -> Fraction:
+def attack_cost(strong, normal, p: EnergyParams) -> Fraction:
     """Cost of one attack: beta_strong per strong item plus beta_normal per normal item.
 
     Items are edges in edge mode and nodes in node mode; the caller passes the

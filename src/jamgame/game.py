@@ -19,6 +19,7 @@ whatever branch the mover explores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .energy import (
     budget_at,
     defense_cost,
 )
-from .network import Edge, Graph, agent_group_index
+from .network import Edge, Graph, agent_group_index, apply_actions
 
 ATTACKER = "attacker"
 DEFENDER = "defender"
@@ -403,50 +404,73 @@ def opponent_layout(ctx: SolveContext) -> dict[int, OpponentSlot]:
 # --- evaluation cache --------------------------------------------------------
 
 
-class StepCache:
-    """Memoized graph resolution, consensus updates, and step payoffs.
+Numerators = tuple[int, ...]
 
-    Shared across decisions of one run so repeated (state, topology) pairs are
-    evaluated once.
+
+def _over(value: Fraction, scale: int) -> int:
+    """Numerator of value over scale, a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _common_denominator(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+class StepCache:
+    """Memoized step resolution on integer state numerators.
+
+    A state comes in as the numerators of its values over some common
+    denominator s. The consensus update is linear, so the next state's
+    numerators over s*D, where D (`scale`) is the lcm of the weight
+    denominators, do not depend on s: `step` caches on (numerators, resolved
+    edges) alone, and one cache serves every decision of a run.
     """
 
-    def __init__(self, g0: Graph, weights: Weights, util: UtilityWeights):
+    def __init__(self, g0: Graph, weights: Weights):
         self.g0 = g0
         self.weights = weights
-        self.util = util
+        self.scale = _common_denominator(weights.by_edge.values())
         self._resolved: dict = {}
         self._next: dict = {}
-        self._payoff: dict = {}
 
-    def resolved_edges(self, attack: AttackAction, defense: DefenseAction) -> frozenset[Edge]:
-        key = (attack.strong, attack.normal, defense.recover)
-        hit = self._resolved.get(key)
+    def step(self, x: Numerators, attack: AttackAction, defense: DefenseAction):
+        """Apply one resolved step to the numerators x over s.
+
+        Returns (next numerators over s*D, their disagreement numerator over
+        (s*D)^2, the resolved graph's group index).
+        """
+        rkey = (attack.strong, attack.normal, defense.recover)
+        g1 = self._resolved.get(rkey)
+        if g1 is None:
+            _, g1 = apply_actions(self.g0, attack.strong, attack.normal, defense.recover)
+            self._resolved[rkey] = g1
+        skey = (x, g1.edges)
+        hit = self._next.get(skey)
         if hit is None:
-            hit = (self.g0.edges - attack.strong - attack.normal) | (defense.recover & attack.normal)
-            self._resolved[key] = hit
+            x1 = tuple(_over(v, self.scale) for v in consensus_step(x, g1, self.weights))
+            hit = (x1, int(state_difference(x1)), agent_group_index(g1))
+            self._next[skey] = hit
         return hit
-
-    def step(self, x: State, attack: AttackAction, defense: DefenseAction) -> tuple[State, Fraction]:
-        """Apply one resolved step: returns (next state, attacker-side payoff)."""
-        edges = self.resolved_edges(attack, defense)
-        skey = (x, edges)
-        x1 = self._next.get(skey)
-        if x1 is None:
-            x1 = consensus_step(x, Graph(self.g0.n, edges), self.weights)
-            self._next[skey] = x1
-        pkey = (x1, edges)
-        payoff = self._payoff.get(pkey)
-        if payoff is None:
-            payoff = step_payoff(x1, Graph(self.g0.n, edges), self.util)
-            self._payoff[pkey] = payoff
-        return x1, payoff
 
 
 # --- the solver --------------------------------------------------------------
 
 
 class _Solver:
-    """Backward induction over the mover's window with predicted opponents."""
+    """Backward induction over the mover's window with predicted opponents.
+
+    The search runs on exact integers over per-window denominators. A state at
+    time t is the tuple of its numerators over den(x0)*D^(t-t0), where den(x0)
+    is the lcm of the initial state's denominators and D is the step cache's
+    scale. Spends, prices and budget lines are numerators over the money scale
+    M, the lcm of both players' energy-parameter and starting-spend
+    denominators. Values are numerators over the window denominator
+    Q = L*den(x0)^2*D^(2H), where L is the lcm of the utility weights'
+    denominators and H the window length. Budget lines, defense prices and the
+    sustain test still come from `energy` and `can_sustain_full_action`, called
+    once per distinct argument. The one conversion back is
+    `Plan.utility = Fraction(total, Q)`.
+    """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
         self.ctx = ctx
@@ -454,41 +478,108 @@ class _Solver:
         self.cm = ctx.cost_model
         self.att_p = ctx.attacker_params
         self.def_p = ctx.defender_params
-        self.cache = cache if cache is not None else StepCache(self.g, ctx.weights, ctx.util)
+        self.cache = cache if cache is not None else StepCache(self.g, ctx.weights)
         self.w_end = ctx.t0 + ctx.horizon(ctx.mover) - 1
         self.layout = opponent_layout(ctx)
-        self.att_catalog = _attack_catalog(self.g, self.cm.mode, self.att_p.beta_normal, self.att_p.beta_strong)
+
+        den0 = _common_denominator(ctx.state)
+        self.x0 = tuple(_over(v, den0) for v in ctx.state)
+        money = [ctx.attacker_spent, ctx.defender_spent]
+        for p in (self.att_p, self.def_p):
+            money += (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover)
+        self.M = _common_denominator(v for v in money if v is not None)
+        H, D, util = ctx.horizon(ctx.mover), self.cache.scale, ctx.util
+        L = _common_denominator((util.a, util.b))
+        self.Q = L * den0**2 * D ** (2 * H)
+        # The step from t lands at depth d = t + 1 - t0, where the attacker-side
+        # summand a*dis/(den0*D^d)^2 - b*gi over Q is dis_weight[t]*dis - gi_weight*gi.
+        self._dis_weight = {
+            t: _over(util.a, L) * D ** (2 * (self.w_end - t)) for t in range(ctx.t0, self.w_end + 1)
+        }
+        self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
+
+        catalog = _attack_catalog(self.g, self.cm.mode, self.att_p.beta_normal, self.att_p.beta_strong)
+        self.att_catalog = [(_over(c, self.M), a) for c, a in catalog]
         self.def_catalog = _defense_catalog(self.g)
+        self._budgets: dict = {}
+        self._attack_prices: dict = {}
+        self._defense_prices: dict = {}
+        self._sustains: dict = {}
+        self._att_options: dict = {}
+        self._def_options: dict = {}
         self._outer_memo: dict = {}
         self._inner_memo: dict = {}
         self._resp_memo: dict = {}
 
+    # energy rules, each called once per distinct argument
+
+    def _budget(self, params: EnergyParams, t: int) -> int:
+        key = (params, t)
+        hit = self._budgets.get(key)
+        if hit is None:
+            hit = self._budgets[key] = _over(budget_at(params, t), self.M)
+        return hit
+
+    def _defense_price(self, recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
+        key = (recover, normal)
+        hit = self._defense_prices.get(key)
+        if hit is None:
+            cost, _ = defense_cost(recover, normal, self.cm, self.def_p)
+            hit = self._defense_prices[key] = _over(cost, self.M)
+        return hit
+
+    def _attack_price(self, action: AttackAction) -> int:
+        hit = self._attack_prices.get(action)
+        if hit is None:
+            if action.node_mode:
+                cost = attack_cost(action.strong_nodes, action.normal_nodes, self.att_p)
+            else:
+                cost = attack_cost(action.strong, action.normal, self.att_p)
+            hit = self._attack_prices[action] = _over(cost, self.M)
+        return hit
+
+    def _sustain(self, player: str, spent: int, t: int, end: int) -> bool:
+        key = (player, spent, t, end)
+        hit = self._sustains.get(key)
+        if hit is None:
+            hit = self._sustains[key] = can_sustain_full_action(
+                self.ctx.params(player), player, self.g, self.cm, Fraction(spent, self.M), t, end
+            )
+        return hit
+
     # feasible candidates at absolute time t
 
-    def _attacks(self, t: int, sa: Fraction):
-        limit = budget_at(self.att_p, t) - sa
-        return [(c, a) for c, a in self.att_catalog if c <= limit or a.size == 0]
+    def _attacks(self, t: int, sa: int):
+        key = (t, sa)
+        hit = self._att_options.get(key)
+        if hit is None:
+            limit = self._budget(self.att_p, t) - sa
+            hit = self._att_options[key] = [(c, a) for c, a in self.att_catalog if c <= limit or a.size == 0]
+        return hit
 
-    def _defenses(self, t: int, sd: Fraction, normal: frozenset[Edge]):
-        limit = budget_at(self.def_p, t) - sd
-        out = []
-        for d in self.def_catalog:
-            cost, _ = defense_cost(d.recover, normal, self.cm, self.def_p)
-            if cost <= limit or d.size == 0:
-                out.append((cost, d))
-        return out
+    def _defenses(self, t: int, sd: int, normal: frozenset[Edge]):
+        key = (t, sd, normal)
+        hit = self._def_options.get(key)
+        if hit is None:
+            limit = self._budget(self.def_p, t) - sd
+            hit = self._def_options[key] = []
+            for d in self.def_catalog:
+                cost = self._defense_price(d.recover, normal)
+                if cost <= limit or d.size == 0:
+                    hit.append((cost, d))
+        return hit
 
-    def _sustain(self, player: str, spent: Fraction, t: int, end: int) -> bool:
-        return can_sustain_full_action(
-            self.ctx.params(player), player, self.g, self.cm, spent, t, end
-        )
+    def _step(self, t: int, x: Numerators, attack: AttackAction, defense: DefenseAction):
+        """(next numerators, attacker-side payoff over Q) of the step from t."""
+        x1, dis, gi = self.cache.step(x, attack, defense)
+        return x1, self._dis_weight[t] * dis - self._gi_weight * gi
 
     # inner model: both sides predicted, objective window [t, end]
 
-    def inner_value(self, t: int, x: State, sa: Fraction, sd: Fraction, end: int) -> Fraction:
+    def inner_value(self, t: int, x: Numerators, sa: int, sd: int, end: int) -> int:
         """Attacker-side value of the modeled tail [t, end]."""
         if t > end:
-            return Fraction(0)
+            return 0
         key = (t, x, sa, sd, end)
         hit = self._inner_memo.get(key)
         if hit is None:
@@ -501,7 +592,7 @@ class _Solver:
         best = None
         for cost_a, atk in self._attacks(t, sa):
             d, cost_d = self.predicted_defense(t, x, sa, sd, end, atk, cost_a)
-            x1, payoff = self.cache.step(x, atk, d)
+            x1, payoff = self._step(t, x, atk, d)
             val = payoff + self.inner_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
                 best = (val, atk, d)
@@ -517,7 +608,7 @@ class _Solver:
         sa1 = sa + attack_cost_
         best = None
         for cost_d, d in self._defenses(t, sd, attack.normal):
-            x1, payoff = self.cache.step(x, attack, d)
+            x1, payoff = self._step(t, x, attack, d)
             val = -payoff - self.inner_value(t + 1, x1, sa1, sd + cost_d, end)
             if best is None or val > best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
                 best = (val, d, cost_d)
@@ -536,10 +627,10 @@ class _Solver:
 
     # outer recursion: the mover's own objective over [t, w_end]
 
-    def outer(self, t: int, x: State, sa: Fraction, sd: Fraction):
+    def outer(self, t: int, x: Numerators, sa: int, sd: int):
         """Returns (mover-side value of [t, w_end], mover action at t, successor key)."""
         if t > self.w_end:
-            return (Fraction(0), None, None)
+            return (0, None, None)
         key = (t, x, sa, sd)
         hit = self._outer_memo.get(key)
         if hit is None:
@@ -550,13 +641,6 @@ class _Solver:
             self._outer_memo[key] = hit
         return hit
 
-    def _opponent_action_cost(self, action) -> Fraction:
-        if isinstance(action, AttackAction):
-            if action.node_mode:
-                return attack_cost(action.strong_nodes, action.normal_nodes, self.cm, self.att_p)
-            return attack_cost(action.strong, action.normal, self.cm, self.att_p)
-        raise TypeError(f"expected an attack, got {action!r}")
-
     def _outer_attacker(self, t, x, sa, sd):
         slot = self.layout[t]
         want_more = self._sustain(ATTACKER, sa, t, self.w_end)
@@ -564,10 +648,10 @@ class _Solver:
         for cost_a, atk in self._attacks(t, sa):
             if slot.kind == FIXED:
                 d = slot.action
-                cost_d, _ = defense_cost(d.recover, atk.normal, self.cm, self.def_p)
+                cost_d = self._defense_price(d.recover, atk.normal)
             else:
                 d, cost_d = self.predicted_defense(t, x, sa, sd, slot.objective_end, atk, cost_a)
-            x1, payoff = self.cache.step(x, atk, d)
+            x1, payoff = self._step(t, x, atk, d)
             succ = (x1, sa + cost_a, sd + cost_d)
             val = payoff + self.outer(t + 1, *succ)[0]
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
@@ -580,11 +664,11 @@ class _Solver:
             atk = slot.action
         else:
             atk = self.predicted_attack(t, x, sa, sd, slot.objective_end)
-        cost_a = self._opponent_action_cost(atk)
+        cost_a = self._attack_price(atk)
         want_more = self._sustain(DEFENDER, sd, t, self.w_end)
         best = None
         for cost_d, d in self._defenses(t, sd, atk.normal):
-            x1, payoff = self.cache.step(x, atk, d)
+            x1, payoff = self._step(t, x, atk, d)
             succ = (x1, sa + cost_a, sd + cost_d)
             val = -payoff + self.outer(t + 1, *succ)[0]
             if best is None or val > best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
@@ -593,9 +677,9 @@ class _Solver:
 
     def solve(self) -> Plan:
         ctx = self.ctx
-        total, _, _ = self.outer(ctx.t0, ctx.state, ctx.attacker_spent, ctx.defender_spent)
+        node = (self.x0, _over(ctx.attacker_spent, self.M), _over(ctx.defender_spent, self.M))
+        total, _, _ = self.outer(ctx.t0, *node)
         steps = []
-        node = (ctx.state, ctx.attacker_spent, ctx.defender_spent)
         for t in range(ctx.t0, self.w_end + 1):
             _, action, succ = self.outer(t, *node)
             steps.append(action)
@@ -606,7 +690,7 @@ class _Solver:
             decision_index=ctx.t0 // period + 1,
             start_time=ctx.t0,
             steps=tuple(steps),
-            utility=total,
+            utility=Fraction(total, self.Q),
         )
 
 

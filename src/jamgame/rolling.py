@@ -172,7 +172,7 @@ def run(scenario: Scenario) -> Trace:
     )
     g = scenario.graph
     cm = scenario.cost_model
-    cache = StepCache(g, scenario.weights, scenario.util)
+    cache = StepCache(g, scenario.weights)
     x = scenario.initial_state
     att_ledger = EnergyLedger(scenario.attacker_energy)
     def_ledger = EnergyLedger(scenario.defender_energy)
@@ -195,9 +195,9 @@ def run(scenario: Scenario) -> Trace:
         dfn = current[DEFENDER].steps[k - current[DEFENDER].start_time]
 
         if cm.mode == NODE_ATTACK:
-            a_cost = attack_cost(atk.strong_nodes, atk.normal_nodes, cm, scenario.attacker_energy)
+            a_cost = attack_cost(atk.strong_nodes, atk.normal_nodes, scenario.attacker_energy)
         else:
-            a_cost = attack_cost(atk.strong, atk.normal, cm, scenario.attacker_energy)
+            a_cost = attack_cost(atk.strong, atk.normal, scenario.attacker_energy)
         d_cost, d_waste = defense_cost(dfn.recover, atk.normal, cm, scenario.defender_energy)
 
         att_ledger = att_ledger.charge(a_cost)

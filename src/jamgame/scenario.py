@@ -111,6 +111,21 @@ def _need(data: dict, key: str) -> object:
     return data[key]
 
 
+def _int_field(raw, field: str) -> int:
+    """A JSON integer; an integral float such as 3.0 is accepted, anything else is not."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ScenarioError(field, f"expected an integer, got {raw!r}")
+
+
+def _object(raw, field: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(field, f"expected a JSON object, got {raw!r}")
+    return raw
+
+
 def _fraction_field(raw, field: str) -> Fraction:
     try:
         return as_fraction(raw)
@@ -149,7 +164,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     graph_raw = _need(data, "graph")
     try:
-        graph = Graph.from_edges(int(graph_raw["n"]), [tuple(e) for e in graph_raw["edges"]])
+        n = _int_field(graph_raw["n"], "graph.n")
+        edges = [tuple(_int_field(v, "graph.edges") for v in e) for e in graph_raw["edges"]]
+        graph = Graph.from_edges(n, edges)
     except ScenarioError:
         raise
     except Exception as exc:
@@ -162,7 +179,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("initial_state", str(exc)) from exc
 
-    weights_raw = data.get("weights", {"kind": "uniform"})
+    weights_raw = _object(data.get("weights", {}), "weights")
     kind = weights_raw.get("kind", "uniform")
     try:
         if kind == "uniform":
@@ -181,7 +198,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("weights", str(exc)) from exc
 
-    util_raw = data.get("utility", {})
+    util_raw = _object(data.get("utility", {}), "utility")
     try:
         util = UtilityWeights(
             a=as_fraction(util_raw.get("a", 1)), b=as_fraction(util_raw.get("b", 0))
@@ -208,15 +225,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("defender_energy", str(exc)) from exc
 
-    horizons = _need(data, "horizons")
-    periods = _need(data, "periods")
-    try:
-        h_att, h_def = int(horizons["attacker"]), int(horizons["defender"])
-        T_att, T_def = int(periods["attacker"]), int(periods["defender"])
-    except Exception as exc:
-        raise ScenarioError("horizons", str(exc)) from exc
+    cadence = {}
+    for name in ("horizons", "periods"):
+        raw = _object(_need(data, name), name)
+        for who in ("attacker", "defender"):
+            if who not in raw:
+                raise ScenarioError(f"{name}.{who}", "missing required field")
+            cadence[name, who] = _int_field(raw[who], f"{name}.{who}")
 
-    cm_raw = data.get("cost_model", {})
+    cm_raw = _object(data.get("cost_model", {}), "cost_model")
     mode = cm_raw.get("mode", EDGE_ATTACK)
     waste = cm_raw.get("waste", WASTE_CHARGED)
     if mode not in (EDGE_ATTACK, NODE_ATTACK):
@@ -224,8 +241,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if waste not in (WASTE_CHARGED, WASTE_FREE):
         raise ScenarioError("cost_model.waste", f"expected 'charged' or 'free', got {waste!r}")
 
-    tol_raw = data.get("tolerances", {})
-    bounds_raw = data.get("work_bounds", {})
+    tol_raw = _object(data.get("tolerances", {}), "tolerances")
+    bounds_raw = _object(data.get("work_bounds", {}), "work_bounds")
 
     return Scenario(
         graph=graph,
@@ -234,19 +251,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         util=util,
         attacker_energy=attacker,
         defender_energy=defender,
-        h_attacker=h_att,
-        h_defender=h_def,
-        T_attacker=T_att,
-        T_defender=T_def,
+        h_attacker=cadence["horizons", "attacker"],
+        h_defender=cadence["horizons", "defender"],
+        T_attacker=cadence["periods", "attacker"],
+        T_defender=cadence["periods", "defender"],
         cost_model=CostModel(mode=mode, waste=waste),
-        K=int(data.get("K", DEFAULT_K)),
+        K=_int_field(data.get("K", DEFAULT_K), "K"),
         convergence_eps=_fraction_field(
             tol_raw.get("convergence_eps", DEFAULT_CONVERGENCE_EPS), "tolerances.convergence_eps"
         ),
-        convergence_window=int(tol_raw.get("convergence_window", DEFAULT_CONVERGENCE_WINDOW)),
+        convergence_window=_int_field(
+            tol_raw.get("convergence_window", DEFAULT_CONVERGENCE_WINDOW), "tolerances.convergence_window"
+        ),
         cluster_tol=_fraction_field(tol_raw.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol"),
-        work_bound_game=int(bounds_raw.get("game", DEFAULT_WORK_BOUND_GAME)),
-        work_bound_theta=int(bounds_raw.get("theta", DEFAULT_WORK_BOUND_THETA)),
+        work_bound_game=_int_field(bounds_raw.get("game", DEFAULT_WORK_BOUND_GAME), "work_bounds.game"),
+        work_bound_theta=_int_field(
+            bounds_raw.get("theta", DEFAULT_WORK_BOUND_THETA), "work_bounds.theta"
+        ),
         name=str(data.get("name", "")),
         description=str(data.get("description", "")),
     )

@@ -8,7 +8,7 @@ stay cheap.
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +248,53 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
+
+
+def test_solver_matches_exhaustive_search_on_fractional_instances():
+    # Tolerance: exact plan equality, as above. Every quantity has its own
+    # denominator: state 1/2, -5/3, 7/4; weights 1/3 and 1/4 (lcm 12); utility
+    # a=2/3, b=1/5; fractional prices, budget lines and starting spends.
+    weights = Weights(3, {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 4)})
+    betas = dict(beta_normal=Fraction(2, 3), beta_strong=Fraction(3, 2))
+    regimes = (
+        (
+            EnergyParams(kappa=Fraction(7, 4), rho=Fraction(5, 6), **betas),
+            EnergyParams(kappa=Fraction(5, 4), rho=Fraction(2, 3), beta_recover=Fraction(3, 5)),
+        ),
+        (
+            EnergyParams(kappa=Fraction(50, 3), rho=Fraction(50, 3), **betas),
+            EnergyParams(kappa=Fraction(40, 7), rho=Fraction(40, 7), beta_recover=Fraction(3, 5)),
+        ),
+    )
+    cadences = [(1, 1), (2, 1), (2, 2)]
+    checked = 0
+    for cost_model in (CostModel(), CostModel(mode="node", waste=WASTE_FREE)):
+        for (h_att, t_att), (h_dfn, t_dfn) in product(cadences, cadences):
+            # Node mode with both windows at 2 costs the oracle seconds per instance.
+            if cost_model.mode == "node" and min(h_att, h_dfn) == 2:
+                continue
+            for att, dfn in regimes:
+                for mover in ("attacker", "defender"):
+                    ctx = SolveContext(
+                        base_graph=PATH3,
+                        weights=weights,
+                        util=UtilityWeights(a=Fraction(2, 3), b=Fraction(1, 5)),
+                        state=make_state(["1/2", "-5/3", "7/4"]),
+                        t0=2,
+                        mover=mover,
+                        h_attacker=h_att,
+                        h_defender=h_dfn,
+                        T_attacker=t_att,
+                        T_defender=t_dfn,
+                        attacker_params=att,
+                        defender_params=dfn,
+                        cost_model=cost_model,
+                        attacker_spent=Fraction(7, 3),
+                        defender_spent=Fraction(5, 4),
+                    )
+                    assert solve_decision(ctx) == brute_force_equilibrium(ctx)
+                    checked += 1
+    assert checked == 56
 
 
 @st.composite

@@ -60,29 +60,28 @@ class TestBudgetAt:
 
 class TestAttackCost:
     def test_empty_attack_is_free(self):
-        assert attack_cost([], [], CM, ATT) == 0
+        assert attack_cost([], [], ATT) == 0
 
     def test_single_strong_edge(self):
-        assert attack_cost([E1], [], CM, ATT) == 2
+        assert attack_cost([E1], [], ATT) == 2
 
     def test_mixed_attack(self):
-        assert attack_cost([E1], [E2, (1, 3)], CM, ATT) == 4
+        assert attack_cost([E1], [E2, (1, 3)], ATT) == 4
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            attack_cost([E1], [E1], CM, ATT)
+            attack_cost([E1], [E1], ATT)
 
     def test_node_mode_prices_nodes(self):
         p = EnergyParams.attacker(kappa=5, rho=5, beta_normal=2, beta_strong=3)
-        cm = CostModel(mode="node")
-        assert attack_cost([2], [1, 3], cm, p) == 3 + 4
+        assert attack_cost([2], [1, 3], p) == 3 + 4
 
     @settings(max_examples=100)
     @given(st.sets(st.integers(1, 8)), st.sets(st.integers(1, 8)))
     def test_additive_over_disjoint_sets(self, strong, normal):
         normal = normal - strong
-        total = attack_cost(strong, normal, CM, ATT)
-        split = attack_cost(strong, [], CM, ATT) + attack_cost([], normal, CM, ATT)
+        total = attack_cost(strong, normal, ATT)
+        split = attack_cost(strong, [], ATT) + attack_cost([], normal, ATT)
         assert total == split
 
 

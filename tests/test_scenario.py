@@ -106,6 +106,46 @@ class TestValidation:
             scenario_from_dict(d)
         assert e.value.field == "format_version"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("graph.n", 3.9),
+            ("graph.edges", [[1, 2], [2, 3.5]]),
+            ("K", 2.7),
+            ("K", "40"),
+            ("K", True),
+            ("horizons.attacker", 2.5),
+            ("horizons.defender", None),
+            ("periods.attacker", "1"),
+            ("periods.defender", 1.5),
+            ("tolerances.convergence_window", "abc"),
+            ("tolerances.convergence_window", 3.2),
+            ("work_bounds.game", 30.5),
+            ("work_bounds.theta", [16]),
+            ("weights", [1]),
+            ("utility", "a"),
+            ("cost_model", "edge"),
+            ("tolerances", [1]),
+            ("work_bounds", 30),
+            ("horizons", [3, 2]),
+        ],
+    )
+    def test_malformed_field_rejected_not_truncated(self, field, value):
+        d = scenario_to_dict(sample())
+        *parents, last = field.split(".")
+        target = d
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert e.value.field == field
+
+    def test_integral_float_accepted(self):
+        d = scenario_to_dict(sample())
+        d["K"] = 7.0
+        assert scenario_from_dict(d).K == 7
+
     def test_fraction_strings_accepted(self):
         d = scenario_to_dict(sample())
         d["tolerances"]["cluster_tol"] = "3/7"
