@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import State, consensus_step, detect_clusters, state_difference
-from .energy import CostModel, EnergyParams, NODE_ATTACK, attack_cost, budget_at, defense_cost
+from .energy import CostModel, EnergyParams, NODE_ATTACK, budget_at, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
@@ -23,6 +23,7 @@ from .game import (
     AttackAction,
     DefenseAction,
     Plan,
+    Schedule,
     SolveContext,
     opponent,
     opponent_layout,
@@ -112,24 +113,18 @@ class ConditionReport:
     necessary_strong_node: bool
 
 
-def _cases(util, horizons, periods) -> tuple[bool, bool]:
-    h_att, h_def = horizons
-    T_att, T_def = periods
+def _cases(util, sched: Schedule) -> tuple[bool, bool]:
     disagreement_only = util.b == 0
-    case_a = disagreement_only and h_def >= h_att and math.lcm(T_att, T_def) == T_att
-    case_b = disagreement_only and T_def == 1
+    case_a = (
+        disagreement_only
+        and sched.h_defender >= sched.h_attacker
+        and sched.lcm_period == sched.T_attacker
+    )
+    case_b = disagreement_only and sched.T_defender == 1
     return case_a, case_b
 
 
-def check_conditions(
-    g: Graph,
-    attacker: EnergyParams,
-    defender: EnergyParams,
-    horizons: tuple[int, int],
-    periods: tuple[int, int],
-    util,
-    cost_model: CostModel = CostModel(),
-) -> ConditionReport:
+def check_conditions(g: Graph, attacker: EnergyParams, sched: Schedule, util) -> ConditionReport:
     """Evaluate the consensus-prevention inequalities and their applicability.
 
     The rate-per-price ratios are compared against edge connectivity for edge
@@ -141,7 +136,7 @@ def check_conditions(
     lam = edge_connectivity(g)
     r_normal = attacker.rho / attacker.beta_normal
     r_strong = attacker.rho / attacker.beta_strong
-    case_a, case_b = _cases(util, horizons, periods)
+    case_a, case_b = _cases(util, sched)
     return ConditionReport(
         edge_conn=lam,
         ratio_normal=r_normal,
@@ -160,8 +155,7 @@ def check_conditions(
 def cluster_upper_bound(
     g: Graph,
     attacker: EnergyParams,
-    horizons: tuple[int, int],
-    periods: tuple[int, int],
+    sched: Schedule,
     util,
     cost_model: CostModel = CostModel(),
     work_bound: int = 16,
@@ -178,7 +172,7 @@ def cluster_upper_bound(
     r_strong = attacker.rho / attacker.beta_strong
     if r_strong >= items:
         return g.n
-    case_a, case_b = _cases(util, horizons, periods)
+    case_a, case_b = _cases(util, sched)
     if case_a or case_b:
         index = math.floor(r_strong)
     else:
@@ -210,7 +204,7 @@ def consensus_verdict(trace: Trace, tol: Fraction | None = None, window: int | N
     s = trace.scenario
     tol = s.cluster_tol if tol is None else tol
     if window is None:
-        window = 4 * math.lcm(s.T_attacker, s.T_defender)
+        window = 4 * s.schedule.lcm_period
     clusters = detect_clusters(trace.final_state, tol)
     if trace.converged_at is None:
         verdict = "undecided"
@@ -241,14 +235,13 @@ def _all_attacks(g: Graph, cm: CostModel, params: EnergyParams) -> list[tuple[At
             normal_nodes = frozenset(v for v, m in zip(range(1, g.n + 1), marks) if m == "normal")
             strong = g.incident_edges(strong_nodes)
             normal = g.incident_edges(normal_nodes) - strong
-            action = AttackAction(strong, normal, strong_nodes=strong_nodes, normal_nodes=normal_nodes)
-            out.append((action, attack_cost(strong_nodes, normal_nodes, params)))
-        return out
-    for marks in itertools.product((None, "normal", "strong"), repeat=len(g.edges)):
-        strong = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "strong")
-        normal = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "normal")
-        out.append((AttackAction(strong, normal), attack_cost(strong, normal, params)))
-    return out
+            out.append(AttackAction(strong, normal, strong_nodes=strong_nodes, normal_nodes=normal_nodes))
+    else:
+        for marks in itertools.product((None, "normal", "strong"), repeat=len(g.edges)):
+            strong = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "strong")
+            normal = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "normal")
+            out.append(AttackAction(strong, normal))
+    return [(a, a.cost(params)) for a in out]
 
 
 def _all_defenses(g: Graph) -> list[DefenseAction]:
@@ -287,7 +280,7 @@ class _BruteForce:
         self.cm = ctx.cost_model
         self.att_p = ctx.attacker_params
         self.def_p = ctx.defender_params
-        self.w_end = ctx.t0 + ctx.horizon(ctx.mover) - 1
+        self.w_end = ctx.t0 + ctx.schedule.horizon(ctx.mover) - 1
         self.layout = opponent_layout(ctx)
         self.attacks = _all_attacks(self.g, self.cm, self.att_p)
         self.defenses = _all_defenses(self.g)
@@ -365,10 +358,8 @@ class _BruteForce:
             action = slot.action
             if opp == DEFENDER:
                 cost, _ = defense_cost(action.recover, mover_action.normal, self.cm, self.def_p)
-            elif action.node_mode:
-                cost = attack_cost(action.strong_nodes, action.normal_nodes, self.att_p)
             else:
-                cost = attack_cost(action.strong, action.normal, self.att_p)
+                cost = action.cost(self.att_p)
             return action, cost
         if opp == DEFENDER:
             return self._predict_defense(t, x, sa, sd, slot.objective_end, mover_action, mover_cost)
@@ -433,7 +424,7 @@ class _BruteForce:
         best = max(total for _, total in found)
         winners = [steps for steps, total in found if total == best]
         steps = self._filter_stepwise(winners)
-        period = ctx.period(ctx.mover)
+        period = ctx.schedule.period(ctx.mover)
         return Plan(
             owner=ctx.mover,
             decision_index=ctx.t0 // period + 1,

@@ -83,13 +83,7 @@ def summarize(trace: Trace) -> RunSummary:
     s = trace.scenario
     verdict = consensus_verdict(trace)
     bound = cluster_upper_bound(
-        s.graph,
-        s.attacker_energy,
-        (s.h_attacker, s.h_defender),
-        (s.T_attacker, s.T_defender),
-        s.util,
-        s.cost_model,
-        work_bound=s.work_bound_theta,
+        s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model, work_bound=s.work_bound_theta
     )
     count = verdict.clusters.group_count
     last = trace.steps[-1]
@@ -368,23 +362,10 @@ def cmd_analyze(args) -> int:
     scenario = _load(args.scenario)
     mode = scenario.cost_model.mode
     bound = scenario.work_bound_theta if args.work_bound is None else args.work_bound
-    report = check_conditions(
-        scenario.graph,
-        scenario.attacker_energy,
-        scenario.defender_energy,
-        (scenario.h_attacker, scenario.h_defender),
-        (scenario.T_attacker, scenario.T_defender),
-        scenario.util,
-        scenario.cost_model,
-    )
+    report = check_conditions(scenario.graph, scenario.attacker_energy, scenario.schedule, scenario.util)
     theta = theta_vector(scenario.graph, mode, work_bound=bound)
     cluster_bound = cluster_upper_bound(
-        scenario.graph,
-        scenario.attacker_energy,
-        (scenario.h_attacker, scenario.h_defender),
-        (scenario.T_attacker, scenario.T_defender),
-        scenario.util,
-        scenario.cost_model,
+        scenario.graph, scenario.attacker_energy, scenario.schedule, scenario.util, scenario.cost_model,
         work_bound=bound,
     )
     if args.json:
@@ -513,7 +494,6 @@ def cmd_validate(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", help="scenario file path or bundled name")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seedless", action="store_true", help="reserved; runs are always deterministic")
     parser.add_argument("--work-bound", type=int, default=None, help="override the configured work bound")
 
 

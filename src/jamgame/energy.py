@@ -127,12 +127,3 @@ def defense_cost(recover, attacked_normal, cm: CostModel, p: EnergyParams) -> tu
     waste = p.beta_recover * len(recover - attacked_normal)
     return cost, waste
 
-
-def feasible_plan(ledger: EnergyLedger, per_step_costs, k_start: int) -> bool:
-    """True iff every prefix of the costed steps stays inside the budget line."""
-    running = ledger.spent
-    for m, cost in enumerate(per_step_costs):
-        running += cost
-        if running > budget_at(ledger.params, k_start + m):
-            return False
-    return True

@@ -28,7 +28,6 @@ from itertools import product
 from .dynamics import State, Weights, as_fraction, consensus_step, state_difference
 from .energy import (
     NODE_ATTACK,
-    WASTE_FREE,
     CostModel,
     EnergyParams,
     attack_cost,
@@ -72,6 +71,12 @@ class AttackAction:
         if self.node_mode:
             return (tuple(sorted(self.strong_nodes)), tuple(sorted(self.normal_nodes)))
         return (tuple(sorted(self.strong)), tuple(sorted(self.normal)))
+
+    def cost(self, params: EnergyParams) -> Fraction:
+        """Price of this attack, at the granularity it was chosen at."""
+        if self.node_mode:
+            return attack_cost(self.strong_nodes, self.normal_nodes, params)
+        return attack_cost(self.strong, self.normal, params)
 
     @classmethod
     def empty(cls) -> AttackAction:
@@ -123,9 +128,6 @@ class Plan:
     steps: tuple
     utility: Fraction
 
-    def applied_prefix(self, period: int) -> tuple:
-        return self.steps[:period]
-
 
 @dataclass(frozen=True)
 class CommittedBlock:
@@ -134,6 +136,37 @@ class CommittedBlock:
     owner: str
     decision_time: int
     actions: tuple
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Decision period T and lookahead window length h of both players.
+
+    The one home of the cadence rules: each period is at least 1 and at most
+    its horizon, the per-player lookup, and the lcm of the periods, at which
+    both players re-decide.
+    """
+
+    T_attacker: int
+    T_defender: int
+    h_attacker: int
+    h_defender: int
+
+    def __post_init__(self) -> None:
+        for who in (ATTACKER, DEFENDER):
+            T, h = self.period(who), self.horizon(who)
+            if not 1 <= T <= h:
+                raise ValueError(f"{who} needs 1 <= period <= horizon, got T={T}, h={h}")
+
+    @property
+    def lcm_period(self) -> int:
+        return math.lcm(self.T_attacker, self.T_defender)
+
+    def period(self, player: str) -> int:
+        return self.T_attacker if player == ATTACKER else self.T_defender
+
+    def horizon(self, player: str) -> int:
+        return self.h_attacker if player == ATTACKER else self.h_defender
 
 
 @dataclass(frozen=True)
@@ -146,10 +179,7 @@ class SolveContext:
     state: State
     t0: int
     mover: str
-    h_attacker: int
-    h_defender: int
-    T_attacker: int
-    T_defender: int
+    schedule: Schedule
     attacker_params: EnergyParams
     defender_params: EnergyParams
     cost_model: CostModel = CostModel()
@@ -160,22 +190,10 @@ class SolveContext:
     def __post_init__(self) -> None:
         if self.mover not in (ATTACKER, DEFENDER):
             raise ValueError(f"unknown mover {self.mover!r}")
-        for h, T, who in (
-            (self.h_attacker, self.T_attacker, "attacker"),
-            (self.h_defender, self.T_defender, "defender"),
-        ):
-            if not 1 <= T <= h:
-                raise ValueError(f"{who} needs 1 <= period <= horizon, got T={T}, h={h}")
         if len(self.state) != self.base_graph.n:
             raise ValueError("state length must match agent count")
-        if self.t0 < 0 or self.t0 % self.period(self.mover) != 0:
+        if self.t0 < 0 or self.t0 % self.schedule.period(self.mover) != 0:
             raise ValueError(f"time {self.t0} is not a {self.mover} decision time")
-
-    def horizon(self, player: str) -> int:
-        return self.h_attacker if player == ATTACKER else self.h_defender
-
-    def period(self, player: str) -> int:
-        return self.T_attacker if player == ATTACKER else self.T_defender
 
     def params(self, player: str) -> EnergyParams:
         return self.attacker_params if player == ATTACKER else self.defender_params
@@ -192,9 +210,9 @@ def opponent(player: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _attack_catalog(g: Graph, mode: str, beta_normal: Fraction, beta_strong: Fraction):
+def _attack_catalog(g: Graph, mode: str, params: EnergyParams):
     """All attack actions on g with their costs, in canonical order."""
-    out = []
+    actions = []
     if mode == NODE_ATTACK:
         nodes = list(range(1, g.n + 1))
         for marks in product((0, 1, 2), repeat=len(nodes)):
@@ -202,19 +220,15 @@ def _attack_catalog(g: Graph, mode: str, beta_normal: Fraction, beta_strong: Fra
             normal_nodes = frozenset(v for v, m in zip(nodes, marks) if m == 1)
             strong = g.incident_edges(strong_nodes)
             normal = g.incident_edges(normal_nodes) - strong
-            action = AttackAction(strong, normal, strong_nodes, normal_nodes)
-            cost = beta_strong * len(strong_nodes) + beta_normal * len(normal_nodes)
-            out.append((cost, action))
+            actions.append(AttackAction(strong, normal, strong_nodes, normal_nodes))
     else:
         edges = list(sorted(g.edges))
         for marks in product((0, 1, 2), repeat=len(edges)):
             strong = frozenset(e for e, m in zip(edges, marks) if m == 2)
             normal = frozenset(e for e, m in zip(edges, marks) if m == 1)
-            action = AttackAction(strong, normal)
-            cost = beta_strong * len(strong) + beta_normal * len(normal)
-            out.append((cost, action))
-    out.sort(key=lambda ca: ca[1].sort_key)
-    return tuple(out)
+            actions.append(AttackAction(strong, normal))
+    actions.sort(key=lambda a: a.sort_key)
+    return tuple((a.cost(params), a) for a in actions)
 
 
 @lru_cache(maxsize=None)
@@ -227,42 +241,6 @@ def _defense_catalog(g: Graph):
         out.append(DefenseAction(recover))
     out.sort(key=lambda d: d.sort_key)
     return tuple(out)
-
-
-def enumerate_attacks(g: Graph, ctx: SolveContext, step_time: int, spent: Fraction | None = None):
-    """Attack actions affordable at step_time given energy spent so far."""
-    spent = ctx.attacker_spent if spent is None else spent
-    p = ctx.attacker_params
-    limit = budget_at(p, step_time) - spent
-    catalog = _attack_catalog(g, ctx.cost_model.mode, p.beta_normal, p.beta_strong)
-    return [a for cost, a in catalog if cost <= limit or a.size == 0]
-
-
-def enumerate_defenses(
-    g: Graph,
-    ctx: SolveContext,
-    step_time: int,
-    spent: Fraction | None = None,
-    attacked_normal: frozenset[Edge] | None = None,
-):
-    """Recovery actions affordable at step_time.
-
-    Waste-free pricing needs the step's normally attacked edges; without them the
-    full set is priced, which is exact in the default charging mode and a safe
-    upper bound otherwise.
-    """
-    spent = ctx.defender_spent if spent is None else spent
-    p = ctx.defender_params
-    limit = budget_at(p, step_time) - spent
-    out = []
-    for d in _defense_catalog(g):
-        if ctx.cost_model.waste == WASTE_FREE and attacked_normal is not None:
-            cost, _ = defense_cost(d.recover, attacked_normal, ctx.cost_model, p)
-        else:
-            cost = p.beta_recover * len(d.recover)
-        if cost <= limit or d.size == 0:
-            out.append(d)
-    return out
 
 
 def step_payoff(x_next: State, g_resolved: Graph, w: UtilityWeights) -> Fraction:
@@ -292,8 +270,7 @@ def can_sustain_full_action(
 ) -> bool:
     """True iff the player could afford its maximal action at every step t..window_end."""
     if player == ATTACKER:
-        items = g.n if cm.mode == NODE_ATTACK else len(g.edges)
-        per_step = params.beta_strong * items
+        per_step = max(cost for cost, _ in _attack_catalog(g, cm.mode, params))
     else:
         per_step = params.beta_recover * len(g.edges)
     running = spent
@@ -333,7 +310,7 @@ def tie_break(
     player = ctx.mover if player is None else player
     step_time = ctx.t0 if step_time is None else step_time
     if window_end is None:
-        window_end = ctx.t0 + ctx.horizon(player) - 1
+        window_end = ctx.t0 + ctx.schedule.horizon(player) - 1
     spent = ctx.spent(player) if spent is None else spent
     want_more = can_sustain_full_action(
         ctx.params(player), player, ctx.base_graph, ctx.cost_model, spent, step_time, window_end
@@ -368,9 +345,10 @@ def opponent_layout(ctx: SolveContext) -> dict[int, OpponentSlot]:
     with their full windows clipped to the mover's, each starting where the
     previous one's territory ends.
     """
-    w_end = ctx.t0 + ctx.horizon(ctx.mover) - 1
+    sched = ctx.schedule
+    w_end = ctx.t0 + sched.horizon(ctx.mover) - 1
     opp = opponent(ctx.mover)
-    T_o, h_o = ctx.period(opp), ctx.horizon(opp)
+    T_o, h_o = sched.period(opp), sched.horizon(opp)
     slots: dict[int, OpponentSlot] = {}
     covered = ctx.t0 - 1
 
@@ -479,7 +457,8 @@ class _Solver:
         self.att_p = ctx.attacker_params
         self.def_p = ctx.defender_params
         self.cache = cache if cache is not None else StepCache(self.g, ctx.weights)
-        self.w_end = ctx.t0 + ctx.horizon(ctx.mover) - 1
+        H = ctx.schedule.horizon(ctx.mover)
+        self.w_end = ctx.t0 + H - 1
         self.layout = opponent_layout(ctx)
 
         den0 = _common_denominator(ctx.state)
@@ -488,7 +467,7 @@ class _Solver:
         for p in (self.att_p, self.def_p):
             money += (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover)
         self.M = _common_denominator(v for v in money if v is not None)
-        H, D, util = ctx.horizon(ctx.mover), self.cache.scale, ctx.util
+        D, util = self.cache.scale, ctx.util
         L = _common_denominator((util.a, util.b))
         self.Q = L * den0**2 * D ** (2 * H)
         # The step from t lands at depth d = t + 1 - t0, where the attacker-side
@@ -498,7 +477,7 @@ class _Solver:
         }
         self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
 
-        catalog = _attack_catalog(self.g, self.cm.mode, self.att_p.beta_normal, self.att_p.beta_strong)
+        catalog = _attack_catalog(self.g, self.cm.mode, self.att_p)
         self.att_catalog = [(_over(c, self.M), a) for c, a in catalog]
         self.def_catalog = _defense_catalog(self.g)
         self._budgets: dict = {}
@@ -531,11 +510,7 @@ class _Solver:
     def _attack_price(self, action: AttackAction) -> int:
         hit = self._attack_prices.get(action)
         if hit is None:
-            if action.node_mode:
-                cost = attack_cost(action.strong_nodes, action.normal_nodes, self.att_p)
-            else:
-                cost = attack_cost(action.strong, action.normal, self.att_p)
-            hit = self._attack_prices[action] = _over(cost, self.M)
+            hit = self._attack_prices[action] = _over(action.cost(self.att_p), self.M)
         return hit
 
     def _sustain(self, player: str, spent: int, t: int, end: int) -> bool:
@@ -684,7 +659,7 @@ class _Solver:
             _, action, succ = self.outer(t, *node)
             steps.append(action)
             node = succ
-        period = ctx.period(ctx.mover)
+        period = ctx.schedule.period(ctx.mover)
         return Plan(
             owner=ctx.mover,
             decision_index=ctx.t0 // period + 1,

@@ -10,13 +10,11 @@ is numerically stationary for a configured number of consecutive steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .dynamics import State, consensus_step
-from .energy import NODE_ATTACK, EnergyLedger, attack_cost, defense_cost
+from .energy import EnergyLedger, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
@@ -24,41 +22,15 @@ from .game import (
     CommittedBlock,
     DefenseAction,
     Plan,
+    Schedule,
     SolveContext,
     StepCache,
+    opponent,
     solve_decision,
     step_payoff,
 )
 from .network import Edge, apply_actions
 from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Decision cadence and lookahead window length for both players."""
-
-    T_attacker: int
-    T_defender: int
-    h_attacker: int
-    h_defender: int
-
-    def __post_init__(self) -> None:
-        for who, h, T in (
-            ("attacker", self.h_attacker, self.T_attacker),
-            ("defender", self.h_defender, self.T_defender),
-        ):
-            if not 1 <= T <= h:
-                raise ValueError(f"{who} needs 1 <= period <= horizon, got T={T}, h={h}")
-
-    @property
-    def lcm_period(self) -> int:
-        return math.lcm(self.T_attacker, self.T_defender)
-
-    def period(self, player: str) -> int:
-        return self.T_attacker if player == ATTACKER else self.T_defender
-
-    def horizon(self, player: str) -> int:
-        return self.h_attacker if player == ATTACKER else self.h_defender
 
 
 @dataclass(frozen=True)
@@ -79,30 +51,26 @@ def decision_times(sched: Schedule, K: int) -> DecisionTimes:
     )
 
 
-def knowledge_for(mover: str, k: int, history: Sequence[Plan], sched: Schedule) -> tuple[CommittedBlock, ...]:
-    """Opponent plan prefixes the mover is entitled to know when deciding at k.
+def knowledge_for(mover: str, k: int, opponent_plan: Plan | None, sched: Schedule) -> tuple[CommittedBlock, ...]:
+    """The opponent block the mover is entitled to know when deciding at k.
 
-    A committed plan is known iff it was decided at a common decision time, or
-    the opponent's whole planning window fits inside the window the mover had in
-    force when the opponent decided. Only the applied prefix is ever knowable;
-    the rest is superseded by the opponent's next decision.
+    Only the opponent's plan in force can matter: earlier plans are superseded,
+    and a plan decided at k itself is made alongside the mover's and is
+    predicted instead. The plan in force is known iff it was decided at a
+    common decision time, or the opponent's whole planning window fits inside
+    the window the mover had in force when the opponent decided. Only the
+    applied prefix is ever knowable; the rest is superseded by the opponent's
+    next decision.
     """
-    out = []
-    h_m = sched.horizon(mover)
-    T_m = sched.period(mover)
-    for plan in history:
-        if plan.owner == mover or plan.start_time > k:
-            continue
-        t_d = plan.start_time
-        if t_d % sched.lcm_period == 0:
-            admitted = True
-        else:
-            t_m = (t_d // T_m) * T_m
-            admitted = t_d + len(plan.steps) - 1 <= t_m + h_m - 1
-        if admitted:
-            T_o = sched.period(plan.owner)
-            out.append(CommittedBlock(plan.owner, t_d, plan.steps[:T_o]))
-    return tuple(out)
+    if opponent_plan is None or opponent_plan.owner == mover or opponent_plan.start_time >= k:
+        return ()
+    t_d = opponent_plan.start_time
+    if t_d % sched.lcm_period != 0:
+        t_m = (t_d // sched.period(mover)) * sched.period(mover)
+        if t_d + len(opponent_plan.steps) - 1 > t_m + sched.horizon(mover) - 1:
+            return ()
+    block = opponent_plan.steps[: sched.period(opponent_plan.owner)]
+    return (CommittedBlock(opponent_plan.owner, t_d, block),)
 
 
 @dataclass(frozen=True)
@@ -139,7 +107,7 @@ class Trace:
 
 
 def _solve(scenario: Scenario, sched: Schedule, mover: str, k: int, x: State,
-           att: EnergyLedger, dfn: EnergyLedger, history: Sequence[Plan],
+           att: EnergyLedger, dfn: EnergyLedger, current: dict[str, Plan],
            cache: StepCache) -> Plan:
     ctx = SolveContext(
         base_graph=scenario.graph,
@@ -148,28 +116,20 @@ def _solve(scenario: Scenario, sched: Schedule, mover: str, k: int, x: State,
         state=x,
         t0=k,
         mover=mover,
-        h_attacker=sched.h_attacker,
-        h_defender=sched.h_defender,
-        T_attacker=sched.T_attacker,
-        T_defender=sched.T_defender,
+        schedule=sched,
         attacker_params=scenario.attacker_energy,
         defender_params=scenario.defender_energy,
         cost_model=scenario.cost_model,
         attacker_spent=att.spent,
         defender_spent=dfn.spent,
-        known_blocks=knowledge_for(mover, k, history, sched),
+        known_blocks=knowledge_for(mover, k, current.get(opponent(mover)), sched),
     )
     return solve_decision(ctx, cache=cache)
 
 
 def run(scenario: Scenario) -> Trace:
     """Execute one full game and return its trace."""
-    sched = Schedule(
-        T_attacker=scenario.T_attacker,
-        T_defender=scenario.T_defender,
-        h_attacker=scenario.h_attacker,
-        h_defender=scenario.h_defender,
-    )
+    sched = scenario.schedule
     g = scenario.graph
     cm = scenario.cost_model
     cache = StepCache(g, scenario.weights)
@@ -183,21 +143,17 @@ def run(scenario: Scenario) -> Trace:
     converged_at = None
 
     for k in range(scenario.K):
-        past = tuple(plans)
         if k % sched.T_attacker == 0:
-            current[ATTACKER] = _solve(scenario, sched, ATTACKER, k, x, att_ledger, def_ledger, past, cache)
+            current[ATTACKER] = _solve(scenario, sched, ATTACKER, k, x, att_ledger, def_ledger, current, cache)
             plans.append(current[ATTACKER])
         if k % sched.T_defender == 0:
-            current[DEFENDER] = _solve(scenario, sched, DEFENDER, k, x, att_ledger, def_ledger, past, cache)
+            current[DEFENDER] = _solve(scenario, sched, DEFENDER, k, x, att_ledger, def_ledger, current, cache)
             plans.append(current[DEFENDER])
 
         atk = current[ATTACKER].steps[k - current[ATTACKER].start_time]
         dfn = current[DEFENDER].steps[k - current[DEFENDER].start_time]
 
-        if cm.mode == NODE_ATTACK:
-            a_cost = attack_cost(atk.strong_nodes, atk.normal_nodes, scenario.attacker_energy)
-        else:
-            a_cost = attack_cost(atk.strong, atk.normal, scenario.attacker_energy)
+        a_cost = atk.cost(scenario.attacker_energy)
         d_cost, d_waste = defense_cost(dfn.recover, atk.normal, cm, scenario.defender_energy)
 
         att_ledger = att_ledger.charge(a_cost)

@@ -10,6 +10,7 @@ are written as "p/q" strings.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .dynamics import State, Weights, as_fraction, make_state
 from .energy import EDGE_ATTACK, NODE_ATTACK, WASTE_CHARGED, WASTE_FREE, CostModel, EnergyParams
-from .game import UtilityWeights
+from .game import Schedule, UtilityWeights
 from .network import Graph, is_connected
 
 FORMAT_VERSION = 1
@@ -60,18 +61,18 @@ class Scenario:
     work_bound_theta: int = DEFAULT_WORK_BOUND_THETA
     name: str = ""
     description: str = ""
+    schedule: Schedule = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_connected(self.graph):
             raise ScenarioError("graph", "base graph must be connected")
         if len(self.initial_state) != self.graph.n:
             raise ScenarioError("initial_state", f"expected {self.graph.n} entries, got {len(self.initial_state)}")
-        for who, h, T in (
-            ("attacker", self.h_attacker, self.T_attacker),
-            ("defender", self.h_defender, self.T_defender),
-        ):
-            if not 1 <= T <= h:
-                raise ScenarioError(f"periods.{who}", f"need 1 <= period <= horizon, got T={T}, h={h}")
+        try:
+            schedule = Schedule(self.T_attacker, self.T_defender, self.h_attacker, self.h_defender)
+        except ValueError as exc:
+            raise ScenarioError("periods", str(exc)) from exc
+        object.__setattr__(self, "schedule", schedule)
         if self.K < 1:
             raise ScenarioError("K", "run length must be at least 1")
         if self.convergence_eps <= 0:
@@ -120,12 +121,6 @@ def _int_field(raw, field: str) -> int:
     raise ScenarioError(field, f"expected an integer, got {raw!r}")
 
 
-def _object(raw, field: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError(field, f"expected a JSON object, got {raw!r}")
-    return raw
-
-
 def _fraction_field(raw, field: str) -> Fraction:
     try:
         return as_fraction(raw)
@@ -133,23 +128,30 @@ def _fraction_field(raw, field: str) -> Fraction:
         raise ScenarioError(field, str(exc)) from exc
 
 
-_TOP_KEYS = {
-    "format_version",
-    "name",
-    "description",
-    "graph",
-    "initial_state",
-    "weights",
-    "utility",
-    "attacker_energy",
-    "defender_energy",
-    "horizons",
-    "periods",
-    "cost_model",
-    "K",
-    "tolerances",
-    "work_bounds",
+_SECTION_KEYS = {
+    "graph": frozenset({"n", "edges"}),
+    "weights": frozenset({"kind", "value", "by_edge"}),
+    "utility": frozenset({"a", "b"}),
+    "attacker_energy": frozenset({"kappa", "rho", "beta_normal", "beta_strong"}),
+    "defender_energy": frozenset({"kappa", "rho", "beta_recover"}),
+    "horizons": frozenset({"attacker", "defender"}),
+    "periods": frozenset({"attacker", "defender"}),
+    "cost_model": frozenset({"mode", "waste"}),
+    "tolerances": frozenset({"convergence_eps", "convergence_window", "cluster_tol"}),
+    "work_bounds": frozenset({"game", "theta"}),
 }
+_TOP_KEYS = {"format_version", "name", "description", "initial_state", "K", *_SECTION_KEYS}
+
+
+def _object(data: dict, section: str, required: bool = False) -> dict:
+    """The JSON object under `section`, with no key the section does not define."""
+    raw = _need(data, section) if required else data.get(section, {})
+    if not isinstance(raw, dict):
+        raise ScenarioError(section, f"expected a JSON object, got {raw!r}")
+    unknown = set(raw) - _SECTION_KEYS[section]
+    if unknown:
+        raise ScenarioError(f"{section}.{sorted(unknown)[0]}", "unknown field")
+    return raw
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -162,7 +164,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if version != FORMAT_VERSION:
         raise ScenarioError("format_version", f"unsupported version {version!r}")
 
-    graph_raw = _need(data, "graph")
+    graph_raw = _object(data, "graph", required=True)
     try:
         n = _int_field(graph_raw["n"], "graph.n")
         edges = [tuple(_int_field(v, "graph.edges") for v in e) for e in graph_raw["edges"]]
@@ -172,14 +174,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("graph", str(exc)) from exc
 
+    state_raw = _need(data, "initial_state")
+    if not isinstance(state_raw, list):
+        raise ScenarioError("initial_state", f"expected a JSON array, got {state_raw!r}")
     try:
-        state = make_state(_need(data, "initial_state"))
-    except ScenarioError:
-        raise
+        state = make_state(state_raw)
     except Exception as exc:
         raise ScenarioError("initial_state", str(exc)) from exc
 
-    weights_raw = _object(data.get("weights", {}), "weights")
+    weights_raw = _object(data, "weights")
     kind = weights_raw.get("kind", "uniform")
     try:
         if kind == "uniform":
@@ -198,7 +201,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("weights", str(exc)) from exc
 
-    util_raw = _object(data.get("utility", {}), "utility")
+    util_raw = _object(data, "utility")
     try:
         util = UtilityWeights(
             a=as_fraction(util_raw.get("a", 1)), b=as_fraction(util_raw.get("b", 0))
@@ -206,7 +209,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("utility", str(exc)) from exc
 
-    att_raw = _need(data, "attacker_energy")
+    att_raw = _object(data, "attacker_energy", required=True)
     try:
         attacker = EnergyParams.attacker(
             kappa=att_raw["kappa"],
@@ -217,7 +220,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     except Exception as exc:
         raise ScenarioError("attacker_energy", str(exc)) from exc
 
-    def_raw = _need(data, "defender_energy")
+    def_raw = _object(data, "defender_energy", required=True)
     try:
         defender = EnergyParams.defender(
             kappa=def_raw["kappa"], rho=def_raw["rho"], beta_recover=def_raw["beta_recover"]
@@ -227,13 +230,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     cadence = {}
     for name in ("horizons", "periods"):
-        raw = _object(_need(data, name), name)
+        raw = _object(data, name, required=True)
         for who in ("attacker", "defender"):
             if who not in raw:
                 raise ScenarioError(f"{name}.{who}", "missing required field")
             cadence[name, who] = _int_field(raw[who], f"{name}.{who}")
 
-    cm_raw = _object(data.get("cost_model", {}), "cost_model")
+    cm_raw = _object(data, "cost_model")
     mode = cm_raw.get("mode", EDGE_ATTACK)
     waste = cm_raw.get("waste", WASTE_CHARGED)
     if mode not in (EDGE_ATTACK, NODE_ATTACK):
@@ -241,8 +244,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if waste not in (WASTE_CHARGED, WASTE_FREE):
         raise ScenarioError("cost_model.waste", f"expected 'charged' or 'free', got {waste!r}")
 
-    tol_raw = _object(data.get("tolerances", {}), "tolerances")
-    bounds_raw = _object(data.get("work_bounds", {}), "work_bounds")
+    tol_raw = _object(data, "tolerances")
+    bounds_raw = _object(data, "work_bounds")
 
     return Scenario(
         graph=graph,

@@ -26,12 +26,13 @@ from jamgame.game import (
     AttackAction,
     CommittedBlock,
     DefenseAction,
+    Schedule,
     SolveContext,
     UtilityWeights,
     solve_decision,
 )
 from jamgame.network import Graph, agent_group_index, is_connected
-from jamgame.rolling import Schedule, decision_times, run
+from jamgame.rolling import decision_times, run
 from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -83,10 +84,13 @@ def test_group_count_vector_and_cluster_bound_on_diamond():
     )
     util = UtilityWeights()
     # Nested cadences price the sustained attack at the strong rate: floor(3.5/2) = 1 edge.
-    assert cluster_upper_bound(DIAMOND, attacker, (2, 2), (2, 2), util) == 2
-    assert cluster_upper_bound(DIAMOND, attacker, (2, 2), (2, 1), util) == 2
+    nested = Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2)
+    per_step = Schedule(T_attacker=2, T_defender=1, h_attacker=2, h_defender=2)
+    assert cluster_upper_bound(DIAMOND, attacker, nested, util) == 2
+    assert cluster_upper_bound(DIAMOND, attacker, per_step, util) == 2
     # Otherwise the normal rate governs: floor(3.5/1) = 3 edges.
-    assert cluster_upper_bound(DIAMOND, attacker, (3, 3), (2, 3), util) == 3
+    staggered = Schedule(T_attacker=2, T_defender=3, h_attacker=3, h_defender=3)
+    assert cluster_upper_bound(DIAMOND, attacker, staggered, util) == 3
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -97,11 +101,11 @@ def test_rate_condition_report_on_three_agent_path():
     attacker = EnergyParams(
         kappa=Fraction(3, 2), rho=Fraction(3, 2), beta_normal=1, beta_strong=2
     )
-    defender = EnergyParams(kappa=Fraction(1, 2), rho=Fraction(1, 2), beta_recover=1)
     util = UtilityWeights()
 
     # Mismatched cadence: only the normal-price test binds, and it passes.
-    loose = check_conditions(PATH3, attacker, defender, (3, 2), (1, 2), util)
+    mismatched = Schedule(T_attacker=1, T_defender=2, h_attacker=3, h_defender=2)
+    loose = check_conditions(PATH3, attacker, mismatched, util)
     assert loose.edge_conn == 1
     assert loose.ratio_normal == Fraction(3, 2)
     assert loose.necessary_normal is True
@@ -111,7 +115,8 @@ def test_rate_condition_report_on_three_agent_path():
     assert loose.tighter_applicable is False
 
     # Matched cadence: the strong-price test becomes applicable (and fails).
-    matched = check_conditions(PATH3, attacker, defender, (2, 2), (2, 2), util)
+    same = Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2)
+    matched = check_conditions(PATH3, attacker, same, util)
     assert matched.case_a is True
     assert matched.tighter_applicable is True
     assert matched.necessary_strong is False
@@ -156,10 +161,9 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
                             state=make_state([1, 2, 3]),
                             t0=0,
                             mover=mover,
-                            h_attacker=h_att,
-                            h_defender=h_dfn,
-                            T_attacker=t_att,
-                            T_defender=t_dfn,
+                            schedule=Schedule(
+                                T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn
+                            ),
                             attacker_params=att,
                             defender_params=dfn,
                         )
@@ -177,10 +181,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             state=make_state([0, 4, 8]),
             t0=1,
             mover="attacker",
-            h_attacker=2,
-            h_defender=2,
-            T_attacker=1,
-            T_defender=2,
+            schedule=Schedule(T_attacker=1, T_defender=2, h_attacker=2, h_defender=2),
             attacker_params=MID_REGIME[0],
             defender_params=MID_REGIME[1],
             known_blocks=(
@@ -196,10 +197,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             state=make_state([0, 4, 8]),
             t0=2,
             mover="attacker",
-            h_attacker=2,
-            h_defender=2,
-            T_attacker=2,
-            T_defender=2,
+            schedule=Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2),
             attacker_params=RICH_REGIME[0],
             defender_params=RICH_REGIME[1],
             attacker_spent=Fraction(3),
@@ -212,10 +210,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             state=make_state([0, 4, 8]),
             t0=1,
             mover="defender",
-            h_attacker=2,
-            h_defender=2,
-            T_attacker=2,
-            T_defender=1,
+            schedule=Schedule(T_attacker=2, T_defender=1, h_attacker=2, h_defender=2),
             attacker_params=MID_REGIME[0],
             defender_params=MID_REGIME[1],
             known_blocks=(
@@ -233,10 +228,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             state=make_state([0, 4, 8]),
             t0=3,
             mover="defender",
-            h_attacker=2,
-            h_defender=3,
-            T_attacker=1,
-            T_defender=3,
+            schedule=Schedule(T_attacker=1, T_defender=3, h_attacker=2, h_defender=3),
             attacker_params=MID_REGIME[0],
             defender_params=MID_REGIME[1],
             attacker_spent=Fraction(3),
@@ -282,10 +274,9 @@ def test_solver_matches_exhaustive_search_on_fractional_instances():
                         state=make_state(["1/2", "-5/3", "7/4"]),
                         t0=2,
                         mover=mover,
-                        h_attacker=h_att,
-                        h_defender=h_dfn,
-                        T_attacker=t_att,
-                        T_defender=t_dfn,
+                        schedule=Schedule(
+                            T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn
+                        ),
                         attacker_params=att,
                         defender_params=dfn,
                         cost_model=cost_model,

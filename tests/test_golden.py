@@ -1,0 +1,50 @@
+"""Byte-identity of the bundled scenarios' run artifacts.
+
+The digests were recorded from `jamgame run <name> --json`. Any change to the
+solver, the simulation or the serializers that moves a single byte of these
+files fails here; a deliberate change of output must re-record them.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from jamgame.cli import main
+
+GOLDEN = {
+    "case1": {
+        "trace.csv": "3957888815dd3c70f0f60762a658fae6f9e7973ecdb689a4c8245e9af9b7c248",
+        "plans.csv": "15ff75e2f96d9aeafcac6a26a2a8285cfb30e2d6b2535d3385a94c94fee135d6",
+        "summary.json": "958fdc0c131c4202089f08ccc14d3a44f35567d36be6421d356f85c1c9513b62",
+    },
+    "case2": {
+        "trace.csv": "4c62381587135a68728e534b4cd816152035314d0c14224a1cc2003277fb7f22",
+        "plans.csv": "1e1f0c60f3b4965b06ae6ce07fbd5d0f4630324de50b5f2b3a8b5ed02be83488",
+        "summary.json": "1cb669d3e7b10082912713ca4897ce3a7daf9ec528a541be24b96d8b1ebe754d",
+    },
+    "fig1_schedule": {
+        "trace.csv": "898762171306edf5c99866d6f0ac2e7d2b7942ba277be645c896f1492f723807",
+        "plans.csv": "fa992aa386a1ab1b73732bc173fdb4b54a42cdab1c87647867aab5ae4017d482",
+        "summary.json": "3f4be30f213c5113bd5a055f158b796162bde33b5466144305903cdafddd158e",
+    },
+    "prop3_regime": {
+        "trace.csv": "e9f961498357dd6e2ef3647cfd73c5a46984486191b591079dc7c3c08167f5e8",
+        "plans.csv": "8dce4fb44a684241399693e9c818fbdbda1f420beb0a287bebc170ace1d20d09",
+        "summary.json": "5336457aba2049410cd4fd4ddd49f20b1c7486b2e0abb122c1c261ee42245530",
+    },
+    "theta_example": {
+        "trace.csv": "e54c04c6f917ad2629f0e5c00f033eb7e22ad91d123618bb97d1a66ab2d87c19",
+        "plans.csv": "efedb7f0521e5882227476988add23eeb3d4dd9775703bb3ace4216a0fd1b70f",
+        "summary.json": "0199a6cd25ccbaa0a56b6805a541cb0799a22cf08df1049122784359d91a0786",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_run_artifacts_are_byte_identical(name, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", name, "--output", str(tmp_path), "--json"]) == 0
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
+    assert digests == GOLDEN[name]

@@ -6,9 +6,9 @@ import pytest
 
 from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
-from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, UtilityWeights
+from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph, apply_actions
-from jamgame.rolling import Schedule, Trace, decision_times, knowledge_for, run
+from jamgame.rolling import Trace, decision_times, knowledge_for, run
 from jamgame.scenario import Scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -90,8 +90,7 @@ class TestDecisionTimes:
 class TestKnowledgeFor:
     def test_common_time_plans_are_mutually_known(self):
         d_plan = plan(DEFENDER, 0, [defense() for _ in range(4)])
-        a_plan = plan(ATTACKER, 0, [attack() for _ in range(6)])
-        known_to_attacker = knowledge_for(ATTACKER, 2, [d_plan, a_plan], FIG1)
+        known_to_attacker = knowledge_for(ATTACKER, 2, d_plan, FIG1)
         assert len(known_to_attacker) == 1
         block = known_to_attacker[0]
         assert block.owner == DEFENDER
@@ -103,18 +102,26 @@ class TestKnowledgeFor:
         # defender decides at 3 with window [3,6]; the attacker's window from its
         # latest decision at 2 is [2,7], which covers it
         d_plan = plan(DEFENDER, 3, [defense() for _ in range(4)])
-        known = knowledge_for(ATTACKER, 4, [d_plan], FIG1)
+        known = knowledge_for(ATTACKER, 4, d_plan, FIG1)
         assert len(known) == 1
         assert known[0].decision_time == 3
 
     def test_shorter_horizon_player_learns_nothing_off_schedule(self):
         a_plan = plan(ATTACKER, 2, [attack() for _ in range(6)])
-        assert knowledge_for(DEFENDER, 3, [a_plan], FIG1) == ()
+        assert knowledge_for(DEFENDER, 3, a_plan, FIG1) == ()
 
     def test_own_plans_and_future_plans_excluded(self):
         a_plan = plan(ATTACKER, 2, [attack() for _ in range(6)])
         d_future = plan(DEFENDER, 6, [defense() for _ in range(4)])
-        assert knowledge_for(ATTACKER, 2, [a_plan, d_future], FIG1) == ()
+        assert knowledge_for(ATTACKER, 2, a_plan, FIG1) == ()
+        assert knowledge_for(ATTACKER, 2, d_future, FIG1) == ()
+
+    def test_plan_decided_alongside_the_mover_is_not_known(self):
+        # at the common time 6 the attacker decides first; the defender deciding
+        # at 6 must predict that plan, not read it
+        a_now = plan(ATTACKER, 6, [attack() for _ in range(6)])
+        assert knowledge_for(DEFENDER, 6, a_now, FIG1) == ()
+        assert knowledge_for(ATTACKER, 0, None, FIG1) == ()
 
 
 def unattacked_reference(s: Scenario, length: int):

@@ -128,6 +128,7 @@ class TestValidation:
             ("tolerances", [1]),
             ("work_bounds", 30),
             ("horizons", [3, 2]),
+            ("initial_state", "123"),
         ],
     )
     def test_malformed_field_rejected_not_truncated(self, field, value):
@@ -140,6 +141,28 @@ class TestValidation:
         with pytest.raises(ScenarioError) as e:
             scenario_from_dict(d)
         assert e.value.field == field
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("graph", "m", 2),
+            ("weights", "kinds", "uniform"),
+            ("utility", "c", 1),
+            ("attacker_energy", "kapa", 9),
+            ("defender_energy", "beta_strong", 2),
+            ("horizons", "both", 2),
+            ("periods", "attackers", 1),
+            ("cost_model", "wast", "free"),
+            ("tolerances", "convergance_window", 3),
+            ("work_bounds", "games", 30),
+        ],
+    )
+    def test_unknown_section_key_rejected(self, section, key, value):
+        d = scenario_to_dict(sample())
+        d[section][key] = value
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert e.value.field == f"{section}.{key}"
 
     def test_integral_float_accepted(self):
         d = scenario_to_dict(sample())
