@@ -36,7 +36,6 @@ from .network import (
     agent_group_index,
     apply_actions,
     edge_connectivity,
-    group_count,
     is_connected,
 )
 from .rolling import Trace
@@ -66,31 +65,64 @@ def theta_vector(g: Graph, mode: str = "edge", work_bound: int = 16) -> ThetaVec
 
     Edge mode enumerates all edge subsets; node mode removes the attacked
     vertices with their incident edges and counts groups among the remainder,
-    so the last entry is 0.
+    so the last entry is 0. Both walk every subset in one incremental pass
+    (_best_group_counts) and refuse before it when 2^items exceeds the bound.
     """
-    if mode == NODE_ATTACK:
-        if g.n > work_bound:
-            raise WorkBoundExceeded(f"node enumeration needs 2^{g.n} subsets, bound is 2^{work_bound}")
-        values = []
-        for i in range(1, g.n + 1):
-            best = 0
-            for removed in itertools.combinations(range(1, g.n + 1), i):
-                stripped = g.without_edges(g.incident_edges(frozenset(removed)))
-                best = max(best, group_count(stripped) - i)
-            values.append(best)
-        return ThetaVector(mode=mode, values=tuple(values))
-
-    m = len(g.edges)
-    if m > work_bound:
-        raise WorkBoundExceeded(f"edge enumeration needs 2^{m} subsets, bound is 2^{work_bound}")
-    edges = g.sorted_edges
-    values = []
-    for i in range(1, m + 1):
-        best = 1
-        for removed in itertools.combinations(edges, i):
-            best = max(best, group_count(g.without_edges(frozenset(removed))))
-        values.append(best)
+    node_mode = mode == NODE_ATTACK
+    size = g.n if node_mode else len(g.edges)
+    if size > work_bound:
+        kind = "node" if node_mode else "edge"
+        raise WorkBoundExceeded(f"{kind} enumeration needs 2^{size} subsets, bound is 2^{work_bound}")
+    if node_mode:
+        # a kept vertex enters as a group of its own and joins its kept lower neighbors
+        lower = {v: [] for v in range(1, g.n + 1)}
+        for u, v in g.sorted_edges:
+            lower[v].append((u, v))
+        values = _best_group_counts(g.n, [(1 << v, lower[v]) for v in lower], present=0)
+    else:
+        every_vertex = sum(1 << v for v in range(1, g.n + 1))
+        values = _best_group_counts(g.n, [(0, [e]) for e in g.sorted_edges], present=every_vertex)
     return ThetaVector(mode=mode, values=tuple(values))
+
+
+def _best_group_counts(n: int, items: list[tuple[int, list[Edge]]], present: int) -> list[int]:
+    """Most groups left after removing exactly r items, for r = 1..len(items).
+
+    One depth-first pass decides each item in turn: removed, or kept. Keeping
+    (vertex_bits, links) makes vertex_bits present, each a group of its own,
+    then joins the groups at the two ends of every link whose ends are both
+    present. `present` holds the vertices there before any item (bit v for
+    vertex v). A group is the int bitmask of its vertices, stored at each
+    member, so a join rewrites only the members of the two groups it merges
+    and a subset costs no graph, set or search of its own.
+    """
+    m = len(items)
+    best = [0] * (m + 1)
+    steps = [(bits, bits.bit_count(), [(u, v, 1 << u | 1 << v) for u, v in links]) for bits, links in items]
+
+    def visit(d: int, group_of: list[int], present: int, groups: int, removed: int) -> None:
+        if d == m:
+            if groups > best[removed]:
+                best[removed] = groups
+            return
+        visit(d + 1, group_of, present, groups, removed + 1)
+        bits, added, links = steps[d]
+        present |= bits
+        groups += added
+        for u, v, ends in links:
+            if present & ends == ends and group_of[u] != group_of[v]:
+                joined = group_of[u] | group_of[v]
+                group_of = group_of.copy()
+                rest = joined
+                while rest:
+                    low = rest & -rest
+                    group_of[low.bit_length() - 1] = joined
+                    rest ^= low
+                groups -= 1
+        visit(d + 1, group_of, present, groups, removed)
+
+    visit(0, [1 << v for v in range(n + 1)], present, present.bit_count(), 0)
+    return best[1:]
 
 
 # --- configuration-level conditions -------------------------------------------
@@ -159,6 +191,7 @@ def cluster_upper_bound(
     util,
     cost_model: CostModel = CostModel(),
     work_bound: int = 16,
+    theta: ThetaVector | None = None,
 ) -> int:
     """Largest cluster count the attacker's energy admits at infinite time.
 
@@ -167,6 +200,8 @@ def cluster_upper_bound(
     attack of the size the budget sustains: sized by the strong price when the
     tighter condition applies, by the normal price when recovery can be outrun.
     An attacker that cannot sustain even one attack leaves a single cluster.
+    A caller that already holds g's theta vector for cost_model.mode passes it
+    as `theta`; otherwise it is enumerated here, only when the bound needs it.
     """
     items = g.n if cost_model.mode == NODE_ATTACK else len(g.edges)
     r_strong = attacker.rho / attacker.beta_strong
@@ -179,7 +214,9 @@ def cluster_upper_bound(
         index = min(items, math.floor(attacker.rho / attacker.beta_normal))
     if index < 1:
         return 1
-    return theta_vector(g, cost_model.mode, work_bound).at(index)
+    if theta is None:
+        theta = theta_vector(g, cost_model.mode, work_bound)
+    return theta.at(index)
 
 
 # --- trace verdict -------------------------------------------------------------

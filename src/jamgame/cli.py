@@ -366,7 +366,7 @@ def cmd_analyze(args) -> int:
     theta = theta_vector(scenario.graph, mode, work_bound=bound)
     cluster_bound = cluster_upper_bound(
         scenario.graph, scenario.attacker_energy, scenario.schedule, scenario.util, scenario.cost_model,
-        work_bound=bound,
+        theta=theta,
     )
     if args.json:
         print(
@@ -425,10 +425,11 @@ def _parse_grid(raw_axes: list[str]) -> list[dict]:
             raise ScenarioError("grid", f"unknown grid parameter {name!r}; choose from {GRID_PARAMS}")
         if not raw:
             raise ScenarioError("grid", f"grid axis {raw_axis!r} needs comma-separated values")
-        if name.startswith("rho_"):
-            values = [as_fraction(v) for v in raw.split(",")]
-        else:
-            values = [int(v) for v in raw.split(",")]
+        parse = as_fraction if name.startswith("rho_") else int
+        try:
+            values = [parse(v) for v in raw.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScenarioError("grid", f"bad value in grid axis {raw_axis!r}: {exc}") from exc
         axes.append([(name, v) for v in values])
     return [dict(combo) for combo in itertools.product(*axes)] if axes else [{}]
 

@@ -49,16 +49,6 @@ class Graph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        out.sort()
-        return out
-
     def without_edges(self, removed) -> Graph:
         return Graph(self.n, self.edges - frozenset(removed))
 
@@ -118,20 +108,6 @@ def is_connected(g: Graph) -> bool:
 def agent_group_index(g: Graph) -> int:
     """Fragmentation index sum(|group|^2) - n^2; always <= 0, 0 iff connected."""
     return sum(len(c) ** 2 for c in components(g).groups) - g.n**2
-
-
-def union_graph(gs: list[Graph]) -> Graph:
-    """Graph whose edge set is the union of all inputs' edge sets."""
-    if not gs:
-        raise ValueError("union of zero graphs is undefined")
-    n = gs[0].n
-    for g in gs:
-        if g.n != n:
-            raise ValueError(f"agent counts differ: {g.n} != {n}")
-    edges: set[Edge] = set()
-    for g in gs:
-        edges |= g.edges
-    return Graph(n, frozenset(edges))
 
 
 def edge_connectivity(g: Graph) -> int:

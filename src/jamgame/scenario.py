@@ -5,7 +5,8 @@ game: topology, initial state, consensus weights, utility weights, energy
 parameters, horizons, periods, cost model, run length, and tolerances. Loading
 materializes all defaults, so a serialized scenario is fully self-describing
 and round-trips to an identical object. Exact rationals that are not integers
-are written as "p/q" strings.
+are written as "p/q" strings; a decimal literal such as 0.1 in a file is read
+exactly, as 1/10, not as the nearest binary float.
 """
 
 from __future__ import annotations
@@ -113,10 +114,14 @@ def _need(data: dict, key: str) -> object:
 
 
 def _int_field(raw, field: str) -> int:
-    """A JSON integer; an integral float such as 3.0 is accepted, anything else is not."""
+    """A JSON integer; an integral number such as 3.0 is accepted, anything else is not.
+
+    A file's decimal literals load as exact Fractions (loads_scenario), a dict
+    built in Python may hold floats; both are accepted when integral.
+    """
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, float) and raw.is_integer():
+    if isinstance(raw, float) and raw.is_integer() or isinstance(raw, Fraction) and raw.denominator == 1:
         return int(raw)
     raise ScenarioError(field, f"expected an integer, got {raw!r}")
 
@@ -323,7 +328,7 @@ def dumps_scenario(s: Scenario) -> str:
 
 def loads_scenario(text: str) -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

@@ -1,9 +1,12 @@
 """Tests for the condition report, theta vectors, cluster bounds, and oracles."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from jamgame import analysis
 from jamgame.analysis import (
     WorkBoundExceeded,
     brute_force_equilibrium,
@@ -12,12 +15,13 @@ from jamgame.analysis import (
     consensus_verdict,
     theta_vector,
 )
+from jamgame.cli import main
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import CostModel, EnergyParams
 from jamgame.game import ATTACKER, DEFENDER, Schedule, SolveContext, UtilityWeights, solve_decision
-from jamgame.network import Graph
+from jamgame.network import Graph, group_count
 from jamgame.rolling import run
-from jamgame.scenario import Scenario
+from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 DIAMOND4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (2, 4)])
@@ -61,6 +65,58 @@ class TestThetaVector:
         with pytest.raises(WorkBoundExceeded):
             theta_vector(big, work_bound=16)
         assert theta_vector(big, work_bound=17).values[-1] == 18
+
+
+def reference_theta(g: Graph, mode: str) -> tuple[int, ...]:
+    """Theta by building every attacked graph and counting its groups."""
+    if mode == "node":
+        return tuple(
+            max(group_count(g.without_edges(g.incident_edges(removed))) - i
+                for removed in itertools.combinations(range(1, g.n + 1), i))
+            for i in range(1, g.n + 1)
+        )
+    return tuple(
+        max(group_count(g.without_edges(removed)) for removed in itertools.combinations(g.sorted_edges, i))
+        for i in range(1, len(g.edges) + 1)
+    )
+
+
+def random_graphs(seed: int, count: int = 12):
+    """Seeded graphs with 1..9 vertices and 0..12 edges, connected or not."""
+    rng = random.Random(seed)
+    yield Graph(1, frozenset())
+    yield Graph(rng.randint(2, 9), frozenset())
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        yield Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(12, len(pairs)))))
+
+
+class TestThetaKernel:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("mode", ["edge", "node"])
+    def test_matches_reference_enumeration(self, seed, mode):
+        for g in random_graphs(seed):
+            assert theta_vector(g, mode).values == reference_theta(g, mode), g
+
+    @pytest.mark.parametrize("mode, size", [("edge", 17), ("node", 18)])
+    def test_gate_refuses_before_enumerating(self, monkeypatch, mode, size):
+        big = Graph.from_edges(18, [(i, i + 1) for i in range(1, 18)])
+        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: pytest.fail("enumerated"))
+        with pytest.raises(WorkBoundExceeded, match=rf"needs 2\^{size} subsets, bound is 2\^16"):
+            theta_vector(big, mode, work_bound=16)
+
+    def test_analyze_enumerates_theta_once(self, monkeypatch, capsys):
+        kernel = analysis._best_group_counts
+        calls = []
+        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+        s = bundled_scenario("theta_example")
+        limit = cluster_upper_bound(s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model)
+        assert len(calls) == 1  # the bound needs theta here
+        calls.clear()
+        assert main(["analyze", "theta_example", "--json"]) == 0
+        assert len(calls) == 1
+        assert f'"cluster_bound": {limit}' in capsys.readouterr().out
 
 
 def report(att=("1.5", "1.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL, g=PATH3):

@@ -213,3 +213,9 @@ class TestSweep:
     def test_unknown_grid_parameter(self, scenario_file, capsys):
         assert main(["sweep", str(scenario_file), "--grid", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["h_attacker=x", "rho_attacker=abc"])
+    def test_non_numeric_grid_value_rejected(self, scenario_file, tmp_path, capsys, axis):
+        assert main(["sweep", str(scenario_file), "--output", str(tmp_path / "out"), "--grid", axis]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: grid:") and axis in err

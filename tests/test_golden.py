@@ -1,8 +1,9 @@
-"""Byte-identity of the bundled scenarios' run artifacts.
+"""Byte-identity of the bundled scenarios' run artifacts and analyze reports.
 
-The digests were recorded from `jamgame run <name> --json`. Any change to the
-solver, the simulation or the serializers that moves a single byte of these
-files fails here; a deliberate change of output must re-record them.
+The digests were recorded from `jamgame run <name> --json` and from the stdout
+of `jamgame analyze <name> --json`. Any change to the solver, the simulation,
+the static analysis or the serializers that moves a single byte of these
+outputs fails here; a deliberate change of output must re-record them.
 """
 
 import contextlib
@@ -48,3 +49,20 @@ def test_bundled_run_artifacts_are_byte_identical(name, tmp_path):
         assert main(["run", name, "--output", str(tmp_path), "--json"]) == 0
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+ANALYZE_GOLDEN = {
+    "case1": "ffdd2de27fe5c1abe836d50989e799b3f86cda4e55714a5dc618363eba6202d2",
+    "case2": "ff4aaa2162c8164c7f907ac8cb45e606c433d9d668c93cd2d2bc5a04282a22b5",
+    "fig1_schedule": "6b560b7316db26cb5d5c4a0d1157fa83bbe14da0dc199f1baaae605d7e5ef2f4",
+    "prop3_regime": "173052e4ec14e3f28fe643b37c3e8a374be002cbfc98088b307dbec4131126f4",
+    "theta_example": "0ad6ca774a1907891fba03caa5f409cec0be18c7f3a89ff154fe7fba453bf4a7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_bundled_analyze_report_is_byte_identical(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", name, "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_GOLDEN[name]

@@ -14,7 +14,6 @@ from jamgame.network import (
     edge_connectivity,
     group_count,
     is_connected,
-    union_graph,
 )
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -60,10 +59,6 @@ class TestGraphConstruction:
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 4)])
-
-    def test_neighbors_sorted(self):
-        assert DIAMOND4.neighbors(2) == [1, 3, 4]
-        assert DIAMOND4.neighbors(1) == [2]
 
 
 class TestComponents:
@@ -142,24 +137,6 @@ class TestEdgeConnectivity:
     @given(random_graph_strategy(max_n=5, max_extra_edges=8))
     def test_matches_brute_force(self, g):
         assert edge_connectivity(g) == brute_force_edge_connectivity(g)
-
-
-class TestUnionGraph:
-    def test_identity(self):
-        assert union_graph([PATH3]) == PATH3
-
-    def test_disjoint_union(self):
-        a = Graph.from_edges(3, [(1, 2)])
-        b = Graph.from_edges(3, [(2, 3)])
-        assert union_graph([a, b]).edges == frozenset({(1, 2), (2, 3)})
-
-    def test_idempotent(self):
-        a = Graph.from_edges(3, [(1, 2)])
-        assert union_graph([a, a]) == a
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            union_graph([Graph(3, frozenset()), Graph(4, frozenset())])
 
 
 class TestApplyActions:

@@ -169,6 +169,15 @@ class TestValidation:
         d["K"] = 7.0
         assert scenario_from_dict(d).K == 7
 
+    def test_decimal_literals_in_file_text_load_exactly(self):
+        text = dumps_scenario(sample())
+        text = text.replace('"rho": "3/2"', '"rho": 0.1', 1).replace('"K": 40', '"K": 7.0')
+        text = text.replace('"convergence_eps": "1/1000000000"', '"convergence_eps": 1e-9')
+        s = loads_scenario(text)
+        assert s.attacker_energy.rho == Fraction(1, 10)
+        assert s.K == 7 and type(s.K) is int
+        assert s.convergence_eps == Fraction(1, 10**9)
+
     def test_fraction_strings_accepted(self):
         d = scenario_to_dict(sample())
         d["tolerances"]["cluster_tol"] = "3/7"
