@@ -349,9 +349,12 @@ def cmd_run(args) -> int:
     write_trace_csv(trace, outdir / "trace.csv")
     write_plans_csv(trace, outdir / "plans.csv")
     write_plot_csvs(trace, outdir)
-    (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2) + "\n")
+    summary_json = json.dumps(_jsonable(summary), indent=2)
+    with open(outdir / "summary.json", "w") as fh:
+        fh.write(summary_json)
+        fh.write("\n")
     if args.json:
-        print(json.dumps(_jsonable(summary), indent=2))
+        print(summary_json)
     else:
         print(summary_text(summary))
         print(f"artifacts: {outdir}")

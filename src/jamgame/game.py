@@ -20,7 +20,7 @@ whatever branch the mover explores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -42,35 +42,32 @@ DEFENDER = "defender"
 
 @dataclass(frozen=True)
 class AttackAction:
-    """Edges attacked strongly and normally; in node mode, also the nodes chosen."""
+    """Edges attacked strongly and normally; in node mode, also the nodes chosen.
+
+    `size` (the number of items committed, at the granularity the action was
+    chosen at) and `sort_key` (the canonical order) are computed once, when
+    the action is built, since tie-breaks compare them far more often.
+    """
 
     strong: frozenset[Edge]
     normal: frozenset[Edge]
     strong_nodes: frozenset[int] = frozenset()
     normal_nodes: frozenset[int] = frozenset()
+    size: int = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.strong & self.normal:
             raise ValueError(f"edges attacked both ways: {sorted(self.strong & self.normal)}")
         if self.strong_nodes & self.normal_nodes:
             raise ValueError(f"nodes attacked both ways: {sorted(self.strong_nodes & self.normal_nodes)}")
+        strong, normal = (self.strong_nodes, self.normal_nodes) if self.node_mode else (self.strong, self.normal)
+        object.__setattr__(self, "size", len(strong) + len(normal))
+        object.__setattr__(self, "sort_key", (tuple(sorted(strong)), tuple(sorted(normal))))
 
     @property
     def node_mode(self) -> bool:
         return bool(self.strong_nodes or self.normal_nodes)
-
-    @property
-    def size(self) -> int:
-        """Number of items committed, at the granularity the action was chosen at."""
-        if self.node_mode:
-            return len(self.strong_nodes) + len(self.normal_nodes)
-        return len(self.strong) + len(self.normal)
-
-    @property
-    def sort_key(self):
-        if self.node_mode:
-            return (tuple(sorted(self.strong_nodes)), tuple(sorted(self.normal_nodes)))
-        return (tuple(sorted(self.strong)), tuple(sorted(self.normal)))
 
     def cost(self, params: EnergyParams) -> Fraction:
         """Price of this attack, at the granularity it was chosen at."""
@@ -85,17 +82,15 @@ class AttackAction:
 
 @dataclass(frozen=True)
 class DefenseAction:
-    """Edges the defender allocates recovery to this step."""
+    """Edges the defender allocates recovery to this step; `size` and `sort_key` are built once."""
 
     recover: frozenset[Edge]
+    size: int = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.recover)
-
-    @property
-    def sort_key(self):
-        return (tuple(sorted(self.recover)),)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", len(self.recover))
+        object.__setattr__(self, "sort_key", (tuple(sorted(self.recover)),))
 
     @classmethod
     def empty(cls) -> DefenseAction:
@@ -394,14 +389,92 @@ def _common_denominator(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+class _Prices:
+    """Decision-invariant pricing of one game over one money scale M.
+
+    Prices, spends and budget lines are integer numerators over M. The table
+    holds the attack catalog with its prices, the defense catalog, the budget,
+    attack-price, defense-price and sustain memos, and the affordability-
+    filtered option lists. Each memo calls its rule (`budget_at`,
+    `AttackAction.cost`, `defense_cost`, `can_sustain_full_action`) once per
+    distinct argument; no rule is restated here.
+    """
+
+    def __init__(self, g: Graph, M: int, att_p: EnergyParams, def_p: EnergyParams, cm: CostModel):
+        self.g, self.M, self.att_p, self.def_p, self.cm = g, M, att_p, def_p, cm
+        self.att_catalog = tuple((_over(c, M), a) for c, a in _attack_catalog(g, cm.mode, att_p))
+        self.def_catalog = _defense_catalog(g)
+        self._budgets: dict = {}
+        self._attack_prices: dict = {}
+        self._defense_prices: dict = {}
+        self._sustains: dict = {}
+        self._att_options: dict = {}
+        self._def_options: dict = {}
+
+    def params(self, player: str) -> EnergyParams:
+        return self.att_p if player == ATTACKER else self.def_p
+
+    def budget(self, player: str, t: int) -> int:
+        key = (player, t)
+        hit = self._budgets.get(key)
+        if hit is None:
+            hit = self._budgets[key] = _over(budget_at(self.params(player), t), self.M)
+        return hit
+
+    def defense_price(self, recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
+        key = (recover, normal)
+        hit = self._defense_prices.get(key)
+        if hit is None:
+            cost, _ = defense_cost(recover, normal, self.cm, self.def_p)
+            hit = self._defense_prices[key] = _over(cost, self.M)
+        return hit
+
+    def attack_price(self, action: AttackAction) -> int:
+        hit = self._attack_prices.get(action)
+        if hit is None:
+            hit = self._attack_prices[action] = _over(action.cost(self.att_p), self.M)
+        return hit
+
+    def sustain(self, player: str, spent: int, t: int, end: int) -> bool:
+        key = (player, spent, t, end)
+        hit = self._sustains.get(key)
+        if hit is None:
+            hit = self._sustains[key] = can_sustain_full_action(
+                self.params(player), player, self.g, self.cm, Fraction(spent, self.M), t, end
+            )
+        return hit
+
+    # feasible candidates at absolute time t
+
+    def attacks(self, t: int, sa: int):
+        key = (t, sa)
+        hit = self._att_options.get(key)
+        if hit is None:
+            limit = self.budget(ATTACKER, t) - sa
+            hit = self._att_options[key] = tuple((c, a) for c, a in self.att_catalog if c <= limit or a.size == 0)
+        return hit
+
+    def defenses(self, t: int, sd: int, normal: frozenset[Edge]):
+        key = (t, sd, normal)
+        hit = self._def_options.get(key)
+        if hit is None:
+            limit = self.budget(DEFENDER, t) - sd
+            priced = ((self.defense_price(d.recover, normal), d) for d in self.def_catalog)
+            hit = self._def_options[key] = tuple((c, d) for c, d in priced if c <= limit or d.size == 0)
+        return hit
+
+
 class StepCache:
-    """Memoized step resolution on integer state numerators.
+    """Run-scoped memos of one game on one graph: step resolution and pricing.
 
     A state comes in as the numerators of its values over some common
     denominator s. The consensus update is linear, so the next state's
     numerators over s*D, where D (`scale`) is the lcm of the weight
     denominators, do not depend on s: `step` caches on (numerators, resolved
-    edges) alone, and one cache serves every decision of a run.
+    edges) alone, and one cache serves every decision of a run. `prices`
+    hands out the pricing table of (M, attacker params, defender params, cost
+    model), built on first use, so every decision on the same money scale
+    shares its prices and option lists.
     """
 
     def __init__(self, g0: Graph, weights: Weights):
@@ -410,6 +483,7 @@ class StepCache:
         self.scale = _common_denominator(weights.by_edge.values())
         self._resolved: dict = {}
         self._next: dict = {}
+        self._prices: dict = {}
 
     def step(self, x: Numerators, attack: AttackAction, defense: DefenseAction):
         """Apply one resolved step to the numerators x over s.
@@ -430,6 +504,14 @@ class StepCache:
             self._next[skey] = hit
         return hit
 
+    def prices(self, M: int, att_p: EnergyParams, def_p: EnergyParams, cm: CostModel) -> _Prices:
+        """The pricing table over money scale M for these energy parameters and cost model."""
+        key = (M, att_p, def_p, cm)
+        hit = self._prices.get(key)
+        if hit is None:
+            hit = self._prices[key] = _Prices(self.g0, *key)
+        return hit
+
 
 # --- the solver --------------------------------------------------------------
 
@@ -444,19 +526,23 @@ class _Solver:
     M, the lcm of both players' energy-parameter and starting-spend
     denominators. Values are numerators over the window denominator
     Q = L*den(x0)^2*D^(2H), where L is the lcm of the utility weights'
-    denominators and H the window length. Budget lines, defense prices and the
-    sustain test still come from `energy` and `can_sustain_full_action`, called
-    once per distinct argument. The one conversion back is
+    denominators and H the window length. The one conversion back is
     `Plan.utility = Fraction(total, Q)`.
+
+    Only the window's search memos belong to one decision. Prices, budget
+    lines, the sustain test and the option lists come from the step cache's
+    pricing table for M (`StepCache.prices`), so a run prices each distinct
+    argument once, not once per decision; without a cache the solver starts
+    from a fresh one.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
         self.ctx = ctx
-        self.g = ctx.base_graph
-        self.cm = ctx.cost_model
-        self.att_p = ctx.attacker_params
-        self.def_p = ctx.defender_params
-        self.cache = cache if cache is not None else StepCache(self.g, ctx.weights)
+        if cache is None:
+            cache = StepCache(ctx.base_graph, ctx.weights)
+        elif cache.g0 != ctx.base_graph:
+            raise ValueError("the step cache was built for another graph")
+        self.cache = cache
         H = ctx.schedule.horizon(ctx.mover)
         self.w_end = ctx.t0 + H - 1
         self.layout = opponent_layout(ctx)
@@ -464,10 +550,10 @@ class _Solver:
         den0 = _common_denominator(ctx.state)
         self.x0 = tuple(_over(v, den0) for v in ctx.state)
         money = [ctx.attacker_spent, ctx.defender_spent]
-        for p in (self.att_p, self.def_p):
+        for p in (ctx.attacker_params, ctx.defender_params):
             money += (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover)
         self.M = _common_denominator(v for v in money if v is not None)
-        D, util = self.cache.scale, ctx.util
+        D, util = cache.scale, ctx.util
         L = _common_denominator((util.a, util.b))
         self.Q = L * den0**2 * D ** (2 * H)
         # The step from t lands at depth d = t + 1 - t0, where the attacker-side
@@ -477,72 +563,15 @@ class _Solver:
         }
         self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
 
-        catalog = _attack_catalog(self.g, self.cm.mode, self.att_p)
-        self.att_catalog = [(_over(c, self.M), a) for c, a in catalog]
-        self.def_catalog = _defense_catalog(self.g)
-        self._budgets: dict = {}
-        self._attack_prices: dict = {}
-        self._defense_prices: dict = {}
-        self._sustains: dict = {}
-        self._att_options: dict = {}
-        self._def_options: dict = {}
+        prices = cache.prices(self.M, ctx.attacker_params, ctx.defender_params, ctx.cost_model)
+        self._attacks = prices.attacks
+        self._defenses = prices.defenses
+        self._attack_price = prices.attack_price
+        self._defense_price = prices.defense_price
+        self._sustain = prices.sustain
         self._outer_memo: dict = {}
         self._inner_memo: dict = {}
         self._resp_memo: dict = {}
-
-    # energy rules, each called once per distinct argument
-
-    def _budget(self, params: EnergyParams, t: int) -> int:
-        key = (params, t)
-        hit = self._budgets.get(key)
-        if hit is None:
-            hit = self._budgets[key] = _over(budget_at(params, t), self.M)
-        return hit
-
-    def _defense_price(self, recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
-        key = (recover, normal)
-        hit = self._defense_prices.get(key)
-        if hit is None:
-            cost, _ = defense_cost(recover, normal, self.cm, self.def_p)
-            hit = self._defense_prices[key] = _over(cost, self.M)
-        return hit
-
-    def _attack_price(self, action: AttackAction) -> int:
-        hit = self._attack_prices.get(action)
-        if hit is None:
-            hit = self._attack_prices[action] = _over(action.cost(self.att_p), self.M)
-        return hit
-
-    def _sustain(self, player: str, spent: int, t: int, end: int) -> bool:
-        key = (player, spent, t, end)
-        hit = self._sustains.get(key)
-        if hit is None:
-            hit = self._sustains[key] = can_sustain_full_action(
-                self.ctx.params(player), player, self.g, self.cm, Fraction(spent, self.M), t, end
-            )
-        return hit
-
-    # feasible candidates at absolute time t
-
-    def _attacks(self, t: int, sa: int):
-        key = (t, sa)
-        hit = self._att_options.get(key)
-        if hit is None:
-            limit = self._budget(self.att_p, t) - sa
-            hit = self._att_options[key] = [(c, a) for c, a in self.att_catalog if c <= limit or a.size == 0]
-        return hit
-
-    def _defenses(self, t: int, sd: int, normal: frozenset[Edge]):
-        key = (t, sd, normal)
-        hit = self._def_options.get(key)
-        if hit is None:
-            limit = self._budget(self.def_p, t) - sd
-            hit = self._def_options[key] = []
-            for d in self.def_catalog:
-                cost = self._defense_price(d.recover, normal)
-                if cost <= limit or d.size == 0:
-                    hit.append((cost, d))
-        return hit
 
     def _step(self, t: int, x: Numerators, attack: AttackAction, defense: DefenseAction):
         """(next numerators, attacker-side payoff over Q) of the step from t."""

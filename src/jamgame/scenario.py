@@ -335,7 +335,11 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return loads_scenario(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("<file>", f"cannot read {path} as UTF-8 text: {exc}") from exc
+    return loads_scenario(text)
 
 
 def save_scenario(s: Scenario, path) -> None:

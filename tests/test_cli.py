@@ -59,6 +59,15 @@ class TestValidate:
         assert main(["validate", "nosuch"]) == 2
         assert "nosuch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_scenario_path_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "not_utf8":
+            path = tmp_path / "bad.json"
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", str(path)]) == 2
+        assert "invalid scenario: <file>" in capsys.readouterr().err
+
     def test_malformed_graph(self, tmp_path, scenario_file, capsys):
         data = json.loads(scenario_file.read_text())
         data["graph"]["edges"].append([2, 1])

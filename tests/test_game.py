@@ -17,7 +17,10 @@ from jamgame.game import (
     Plan,
     Schedule,
     SolveContext,
+    StepCache,
     UtilityWeights,
+    _attack_catalog,
+    _defense_catalog,
     _Solver,
     opponent_layout,
     solve_decision,
@@ -28,6 +31,7 @@ from jamgame.network import Graph
 
 EDGE1 = Graph.from_edges(2, [(1, 2)])
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
+CYCLE4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
 ABUNDANT = EnergyParams.attacker(kappa=100, rho=100, beta_normal=1, beta_strong=2)
 ABUNDANT_DEF = EnergyParams.defender(kappa=100, rho=100, beta_recover=1)
@@ -135,6 +139,19 @@ class TestEnumerateAttacks:
         mixed = [a for a in actions if a.strong_nodes == frozenset({1}) and a.normal_nodes == frozenset({2})]
         assert mixed[0].strong == frozenset({(1, 2)})
         assert mixed[0].normal == frozenset({(2, 3)})
+
+
+class TestActionKeys:
+    @pytest.mark.parametrize("graph", [PATH3, CYCLE4], ids=["path3", "cycle4"])
+    @pytest.mark.parametrize("mode", ["edge", "node"])
+    def test_precomputed_size_and_sort_key_match_their_definitions(self, graph, mode):
+        for _, a in _attack_catalog(graph, mode, ABUNDANT):
+            strong, normal = (a.strong_nodes, a.normal_nodes) if mode == "node" else (a.strong, a.normal)
+            assert a.size == len(strong) + len(normal)
+            assert a.sort_key == (tuple(sorted(strong)), tuple(sorted(normal)))
+        for d in _defense_catalog(graph):
+            assert d.size == len(d.recover)
+            assert d.sort_key == (tuple(sorted(d.recover)),)
 
 
 class TestEnumerateDefenses:
@@ -408,3 +425,27 @@ class TestSolveDefenderMover:
         ctx = make_ctx(state=(0, 4, 8), mover=DEFENDER, attacker=att, defender=dfn)
         plan = solve_decision(ctx)
         assert plan.steps == (defense([(1, 2)]),)
+
+
+class TestSharedPricing:
+    @pytest.mark.parametrize(
+        "cost_model", [CostModel("edge", "charged"), CostModel("node", "free")], ids=["edge-charged", "node-free"]
+    )
+    def test_one_cache_across_money_scales_gives_the_plans_of_fresh_caches(self, cost_model):
+        att = EnergyParams.attacker(kappa="3/2", rho="3/2", beta_normal=1, beta_strong=2)
+        dfn = EnergyParams.defender(kappa="1/2", rho="1/2", beta_recover=1)
+        ctxs = [
+            make_ctx(
+                state=(0, 3, 7), t0=2, mover=mover, h_attacker=2, h_defender=2, attacker=att, defender=dfn,
+                cost_model=cost_model, attacker_spent=spent, defender_spent=spent,
+            )
+            for spent in (0, Fraction(1, 3), Fraction(2, 7), 0)
+            for mover in (ATTACKER, DEFENDER)
+        ]
+        assert len({_Solver(c).M for c in ctxs}) == 3
+        shared = StepCache(PATH3, ctxs[0].weights)
+        assert [solve_decision(c, cache=shared) for c in ctxs] == [solve_decision(c) for c in ctxs]
+
+    def test_cache_of_another_graph_is_refused(self):
+        with pytest.raises(ValueError, match="another graph"):
+            solve_decision(make_ctx(), cache=StepCache(EDGE1, Weights.uniform(EDGE1)))

@@ -1,18 +1,21 @@
 """Byte-identity of the bundled scenarios' run artifacts and analyze reports.
 
 The digests were recorded from `jamgame run <name> --json` and from the stdout
-of `jamgame analyze <name> --json`. Any change to the solver, the simulation,
-the static analysis or the serializers that moves a single byte of these
-outputs fails here; a deliberate change of output must re-record them.
+of `jamgame analyze <name> --json`, plus one long run of a case1 variant. Any
+change to the solver, the simulation, the static analysis or the serializers
+that moves a single byte of these outputs fails here; a deliberate change of
+output must re-record them.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from jamgame.cli import main
+from jamgame.scenario import bundled_scenario, scenario_to_dict
 
 GOLDEN = {
     "case1": {
@@ -49,6 +52,28 @@ def test_bundled_run_artifacts_are_byte_identical(name, tmp_path):
         assert main(["run", name, "--output", str(tmp_path), "--json"]) == 0
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+LONG_RUN_GOLDEN = {
+    "trace.csv": "2eb312d0f0ce22d7062941aa2346f991754f2527e05ff8026f37de0572736d9c",
+    "plans.csv": "3896a4bde37994059861983665d8e3380d727cde8eb356778172b389e98037e2",
+    "summary.json": "c8762b83ec8406f7ef689bcfe07353e4ab0136a715cf73f8c420ba686adb7464",
+}
+
+
+def test_long_single_step_run_artifacts_are_byte_identical(tmp_path):
+    # case1's graph and energies with h = T = 1 for both players: 400 decisions
+    # that share one run's prices, on states whose denominators grow to 3^151.
+    data = scenario_to_dict(bundled_scenario("case1"))
+    data.update(name="case1_h1_long", K=200, horizons={"attacker": 1, "defender": 1},
+                periods={"attacker": 1, "defender": 1})
+    data["tolerances"]["convergence_window"] = 201
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--output", str(tmp_path / "out"), "--json"]) == 0
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in LONG_RUN_GOLDEN}
+    assert digests == LONG_RUN_GOLDEN
 
 
 ANALYZE_GOLDEN = {

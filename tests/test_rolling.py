@@ -1,15 +1,17 @@
 """Tests for decision scheduling, the knowledge rules, and trace execution."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from jamgame import game
 from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
 from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph, apply_actions
 from jamgame.rolling import Trace, decision_times, knowledge_for, run
-from jamgame.scenario import Scenario
+from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 
@@ -202,6 +204,22 @@ class TestRun:
         assert def_times == [0, 2, 4, 6]
         indices = [p.decision_index for p in trace.plans if p.owner == ATTACKER]
         assert indices == [1, 2, 3, 4]
+
+    def test_solver_prices_once_per_run_not_once_per_decision(self, monkeypatch):
+        # h = T = 1 makes every step two fresh decisions; the solver's defense
+        # prices are bounded by the distinct (recover, normal) pairs, not by K.
+        real = game.defense_cost
+        counts = []
+        for K in (20, 60):
+            calls = []
+            monkeypatch.setattr(game, "defense_cost", lambda *args: calls.append(args) or real(*args))
+            s = replace(
+                bundled_scenario("case1"), K=K, convergence_window=K + 1,
+                h_attacker=1, h_defender=1, T_attacker=1, T_defender=1,
+            )
+            assert len(run(s).steps) == K
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_states_helper_includes_initial(self):
         s = scenario(K=5)

@@ -164,6 +164,18 @@ class TestValidation:
             scenario_from_dict(d)
         assert e.value.field == f"{section}.{key}"
 
+    @pytest.mark.parametrize(
+        "kind, content",
+        [("directory", None), ("missing", None), ("utf16", b"\xff\xfe{\x00}\x00"), ("latin1", b'{"name": "\xe9"}')],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, kind, content):
+        path = tmp_path if kind == "directory" else tmp_path / f"{kind}.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError) as e:
+            load_scenario(path)
+        assert e.value.field == "<file>"
+
     def test_integral_float_accepted(self):
         d = scenario_to_dict(sample())
         d["K"] = 7.0
