@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import State, consensus_step, detect_clusters, state_difference
-from .energy import CostModel, EnergyParams, NODE_ATTACK, budget_at, defense_cost
+from .energy import EDGE_ATTACK, NODE_ATTACK, CostModel, EnergyParams, budget_at, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
     FIXED,
     AttackAction,
     DefenseAction,
+    Game,
     Plan,
-    Schedule,
     SolveContext,
     opponent,
     opponent_layout,
@@ -39,6 +39,7 @@ from .network import (
     is_connected,
 )
 from .rolling import Trace
+from .scenario import DEFAULT_WORK_BOUND_THETA
 
 
 class WorkBoundExceeded(RuntimeError):
@@ -60,7 +61,7 @@ class ThetaVector:
         return self.values[i - 1]
 
 
-def theta_vector(g: Graph, mode: str = "edge", work_bound: int = 16) -> ThetaVector:
+def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WORK_BOUND_THETA) -> ThetaVector:
     """Exact maximal group counts over every attack-set size.
 
     Edge mode enumerates all edge subsets; node mode removes the attacked
@@ -145,8 +146,9 @@ class ConditionReport:
     necessary_strong_node: bool
 
 
-def _cases(util, sched: Schedule) -> tuple[bool, bool]:
-    disagreement_only = util.b == 0
+def _cases(game: Game) -> tuple[bool, bool]:
+    sched = game.schedule
+    disagreement_only = game.util.b == 0
     case_a = (
         disagreement_only
         and sched.h_defender >= sched.h_attacker
@@ -156,7 +158,7 @@ def _cases(util, sched: Schedule) -> tuple[bool, bool]:
     return case_a, case_b
 
 
-def check_conditions(g: Graph, attacker: EnergyParams, sched: Schedule, util) -> ConditionReport:
+def check_conditions(game: Game) -> ConditionReport:
     """Evaluate the consensus-prevention inequalities and their applicability.
 
     The rate-per-price ratios are compared against edge connectivity for edge
@@ -165,10 +167,11 @@ def check_conditions(g: Graph, attacker: EnergyParams, sched: Schedule, util) ->
     applies only when the objective ignores grouping and the defender either
     re-decides every step or spans the attacker's window on a nested cadence.
     """
+    g, attacker = game.graph, game.attacker_energy
     lam = edge_connectivity(g)
     r_normal = attacker.rho / attacker.beta_normal
     r_strong = attacker.rho / attacker.beta_strong
-    case_a, case_b = _cases(util, sched)
+    case_a, case_b = _cases(game)
     return ConditionReport(
         edge_conn=lam,
         ratio_normal=r_normal,
@@ -185,13 +188,7 @@ def check_conditions(g: Graph, attacker: EnergyParams, sched: Schedule, util) ->
 
 
 def cluster_upper_bound(
-    g: Graph,
-    attacker: EnergyParams,
-    sched: Schedule,
-    util,
-    cost_model: CostModel = CostModel(),
-    work_bound: int = 16,
-    theta: ThetaVector | None = None,
+    game: Game, work_bound: int = DEFAULT_WORK_BOUND_THETA, theta: ThetaVector | None = None
 ) -> int:
     """Largest cluster count the attacker's energy admits at infinite time.
 
@@ -200,14 +197,16 @@ def cluster_upper_bound(
     attack of the size the budget sustains: sized by the strong price when the
     tighter condition applies, by the normal price when recovery can be outrun.
     An attacker that cannot sustain even one attack leaves a single cluster.
-    A caller that already holds g's theta vector for cost_model.mode passes it
-    as `theta`; otherwise it is enumerated here, only when the bound needs it.
+    A caller that already holds the graph's theta vector for the game's attack
+    mode passes it as `theta`; otherwise it is enumerated here, under
+    `work_bound`, only when the bound needs it.
     """
-    items = g.n if cost_model.mode == NODE_ATTACK else len(g.edges)
+    g, attacker, mode = game.graph, game.attacker_energy, game.cost_model.mode
+    items = g.n if mode == NODE_ATTACK else len(g.edges)
     r_strong = attacker.rho / attacker.beta_strong
     if r_strong >= items:
         return g.n
-    case_a, case_b = _cases(util, sched)
+    case_a, case_b = _cases(game)
     if case_a or case_b:
         index = math.floor(r_strong)
     else:
@@ -215,7 +214,7 @@ def cluster_upper_bound(
     if index < 1:
         return 1
     if theta is None:
-        theta = theta_vector(g, cost_model.mode, work_bound)
+        theta = theta_vector(g, mode, work_bound)
     return theta.at(index)
 
 
@@ -241,7 +240,7 @@ def consensus_verdict(trace: Trace, tol: Fraction | None = None, window: int | N
     s = trace.scenario
     tol = s.cluster_tol if tol is None else tol
     if window is None:
-        window = 4 * s.schedule.lcm_period
+        window = 4 * s.game.schedule.lcm_period
     clusters = detect_clusters(trace.final_state, tol)
     if trace.converged_at is None:
         verdict = "undecided"
@@ -312,12 +311,13 @@ class _BruteForce:
 
     def __init__(self, ctx: SolveContext, work: _Budget):
         self.ctx = ctx
+        self.game = game = ctx.game
         self.work = work
-        self.g = ctx.base_graph
-        self.cm = ctx.cost_model
-        self.att_p = ctx.attacker_params
-        self.def_p = ctx.defender_params
-        self.w_end = ctx.t0 + ctx.schedule.horizon(ctx.mover) - 1
+        self.g = game.graph
+        self.cm = game.cost_model
+        self.att_p = game.attacker_energy
+        self.def_p = game.defender_energy
+        self.w_end = ctx.t0 + game.schedule.horizon(ctx.mover) - 1
         self.layout = opponent_layout(ctx)
         self.attacks = _all_attacks(self.g, self.cm, self.att_p)
         self.defenses = _all_defenses(self.g)
@@ -337,22 +337,15 @@ class _BruteForce:
 
     def _step(self, x: State, attack: AttackAction, defense: DefenseAction):
         _, resolved = apply_actions(self.g, attack.strong, attack.normal, defense.recover)
-        x1 = consensus_step(x, resolved, self.ctx.weights)
-        payoff = self.ctx.util.a * state_difference(x1) - self.ctx.util.b * agent_group_index(resolved)
+        x1 = consensus_step(x, resolved, self.game.weights)
+        payoff = self.game.util.a * state_difference(x1) - self.game.util.b * agent_group_index(resolved)
         return x1, payoff
 
     # plain-recursive predictions: attacker leads, defender follows, both modeled
 
     def _pick(self, cands, player, t, end, spent):
         top = max(v for _, v in cands)
-        return tie_break(
-            [(a, top) for a, v in cands if v == top],
-            self.ctx,
-            player=player,
-            step_time=t,
-            window_end=end,
-            spent=spent,
-        )
+        return tie_break([(a, top) for a, v in cands if v == top], self.game, player, t, end, spent)
 
     def _predict_defense(self, t, x, sa, sd, end, attack, cost_a):
         cands = []
@@ -434,11 +427,7 @@ class _BruteForce:
             options = {p[i] for p in plans}
             chosen = tie_break(
                 [(a, Fraction(0)) for a in sorted(options, key=lambda a: a.sort_key)],
-                self.ctx,
-                player=mover,
-                step_time=t,
-                window_end=self.w_end,
-                spent=spent,
+                self.game, mover, t, self.w_end, spent,
             )
             plans = [p for p in plans if p[i] == chosen]
             if mover == ATTACKER:
@@ -461,7 +450,7 @@ class _BruteForce:
         best = max(total for _, total in found)
         winners = [steps for steps, total in found if total == best]
         steps = self._filter_stepwise(winners)
-        period = ctx.schedule.period(ctx.mover)
+        period = self.game.schedule.period(ctx.mover)
         return Plan(
             owner=ctx.mover,
             decision_index=ctx.t0 // period + 1,

@@ -82,9 +82,7 @@ def summarize(trace: Trace) -> RunSummary:
     """Condense a trace into the report the CLI prints and serializes."""
     s = trace.scenario
     verdict = consensus_verdict(trace)
-    bound = cluster_upper_bound(
-        s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model, work_bound=s.work_bound_theta
-    )
+    bound = cluster_upper_bound(s.game, work_bound=s.work_bound_theta)
     count = verdict.clusters.group_count
     last = trace.steps[-1]
     return RunSummary(
@@ -365,12 +363,9 @@ def cmd_analyze(args) -> int:
     scenario = _load(args.scenario)
     mode = scenario.cost_model.mode
     bound = scenario.work_bound_theta if args.work_bound is None else args.work_bound
-    report = check_conditions(scenario.graph, scenario.attacker_energy, scenario.schedule, scenario.util)
+    report = check_conditions(scenario.game)
     theta = theta_vector(scenario.graph, mode, work_bound=bound)
-    cluster_bound = cluster_upper_bound(
-        scenario.graph, scenario.attacker_energy, scenario.schedule, scenario.util, scenario.cost_model,
-        theta=theta,
-    )
+    cluster_bound = cluster_upper_bound(scenario.game, theta=theta)
     if args.json:
         print(
             json.dumps(

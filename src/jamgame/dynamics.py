@@ -35,10 +35,12 @@ def make_state(values) -> State:
 
 @dataclass(frozen=True)
 class Weights:
-    """Symmetric consensus weights a_ij on the base graph's edges.
+    """Symmetric consensus weights a_ij on canonical vertex pairs of 1..n.
 
-    Positive weight only on base edges; every row sum stays strictly below 1 so
-    the update is a contraction toward agreement on any surviving subgraph.
+    Every weight is positive and every row sum stays strictly below 1, so the
+    update is a contraction toward agreement on any surviving subgraph. That
+    the weights sit on a graph's edges is checked where the two meet, in
+    `game.Game`.
     """
 
     n: int
@@ -62,28 +64,6 @@ class Weights:
         """Equal weight on every base edge; default value 1/n."""
         a = Fraction(1, g.n) if value is None else as_fraction(value)
         return cls(g.n, {e: a for e in g.sorted_edges})
-
-    @classmethod
-    def from_matrix(cls, g: Graph, matrix) -> Weights:
-        """Build from a full n x n matrix; entries must be symmetric and sit on base edges."""
-        n = g.n
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError(f"weight matrix must be {n}x{n}")
-        by_edge: dict[Edge, Fraction] = {}
-        for i in range(1, n + 1):
-            if as_fraction(matrix[i - 1][i - 1]) != 0:
-                raise ValueError(f"diagonal entry ({i}, {i}) must be zero")
-            for j in range(i + 1, n + 1):
-                a_ij = as_fraction(matrix[i - 1][j - 1])
-                a_ji = as_fraction(matrix[j - 1][i - 1])
-                if a_ij != a_ji:
-                    raise ValueError(f"weights must be symmetric, a[{i}][{j}] != a[{j}][{i}]")
-                if a_ij == 0:
-                    continue
-                if (i, j) not in g.edges:
-                    raise ValueError(f"positive weight on non-edge ({i}, {j})")
-                by_edge[(i, j)] = a_ij
-        return cls(n, by_edge)
 
     def get(self, e: Edge) -> Fraction:
         return self.by_edge.get(e, Fraction(0))

@@ -1,4 +1,9 @@
-"""Action spaces, step utilities, and the lookahead plan solver for one decision.
+"""The game of one run, action spaces, step utilities, and the plan solver for one decision.
+
+A `Game` is everything a run's decisions share: graph, consensus weights,
+utility, `Schedule` and both players' energy lines and cost model. A
+`SolveContext` adds what one decision alone holds: the state, the decision
+time, the mover, both spends and the opponent block the mover knows.
 
 The solver builds one Stackelberg tree over the mover's lookahead window; within
 every step the attacker commits first and the defender responds. Opponent actions
@@ -20,7 +25,7 @@ whatever branch the mover explores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -138,8 +143,8 @@ class Schedule:
     """Decision period T and lookahead window length h of both players.
 
     The one home of the cadence rules: each period is at least 1 and at most
-    its horizon, the per-player lookup, and the lcm of the periods, at which
-    both players re-decide.
+    its horizon, the per-player lookup, when a player re-decides, and the lcm
+    of the periods, at which both do.
     """
 
     T_attacker: int
@@ -163,21 +168,47 @@ class Schedule:
     def horizon(self, player: str) -> int:
         return self.h_attacker if player == ATTACKER else self.h_defender
 
+    def decides(self, player: str, k: int) -> bool:
+        """True iff the player re-decides at step k: a nonnegative multiple of its period."""
+        return k >= 0 and k % self.period(player) == 0
+
+
+@dataclass(frozen=True)
+class Game:
+    """The configuration every decision of one run shares.
+
+    Checks where graph meets weights: one weight row per agent, and weight
+    only on base edges. Holds no catalog; those are built lazily. `Weights`
+    holds a dict, so a `Game` is compared, never hashed.
+    """
+
+    graph: Graph
+    weights: Weights
+    util: UtilityWeights
+    schedule: Schedule
+    attacker_energy: EnergyParams
+    defender_energy: EnergyParams
+    cost_model: CostModel = CostModel()
+
+    def __post_init__(self) -> None:
+        if self.weights.n != self.graph.n:
+            raise ValueError(f"weights are for {self.weights.n} agents, the graph has {self.graph.n}")
+        off_graph = sorted(set(self.weights.by_edge) - self.graph.edges)
+        if off_graph:
+            raise ValueError(f"weight on non-edge {off_graph[0]}")
+
+    def energy(self, player: str) -> EnergyParams:
+        return self.attacker_energy if player == ATTACKER else self.defender_energy
+
 
 @dataclass(frozen=True)
 class SolveContext:
-    """Everything one decision depends on: topology, state, budgets, and knowledge."""
+    """One decision of a game: state, time, mover, spends so far, and knowledge."""
 
-    base_graph: Graph
-    weights: Weights
-    util: UtilityWeights
+    game: Game
     state: State
     t0: int
     mover: str
-    schedule: Schedule
-    attacker_params: EnergyParams
-    defender_params: EnergyParams
-    cost_model: CostModel = CostModel()
     attacker_spent: Fraction = Fraction(0)
     defender_spent: Fraction = Fraction(0)
     known_blocks: tuple[CommittedBlock, ...] = ()
@@ -185,16 +216,10 @@ class SolveContext:
     def __post_init__(self) -> None:
         if self.mover not in (ATTACKER, DEFENDER):
             raise ValueError(f"unknown mover {self.mover!r}")
-        if len(self.state) != self.base_graph.n:
+        if len(self.state) != self.game.graph.n:
             raise ValueError("state length must match agent count")
-        if self.t0 < 0 or self.t0 % self.schedule.period(self.mover) != 0:
+        if not self.game.schedule.decides(self.mover, self.t0):
             raise ValueError(f"time {self.t0} is not a {self.mover} decision time")
-
-    def params(self, player: str) -> EnergyParams:
-        return self.attacker_params if player == ATTACKER else self.defender_params
-
-    def spent(self, player: str) -> Fraction:
-        return self.attacker_spent if player == ATTACKER else self.defender_spent
 
 
 def opponent(player: str) -> str:
@@ -254,26 +279,29 @@ def step_payoff(x_next: State, g_resolved: Graph, w: UtilityWeights) -> Fraction
 # --- tie-breaking ------------------------------------------------------------
 
 
-def can_sustain_full_action(
-    params: EnergyParams,
-    player: str,
-    g: Graph,
-    cm: CostModel,
-    spent: Fraction,
-    t: int,
-    window_end: int,
-) -> bool:
-    """True iff the player could afford its maximal action at every step t..window_end."""
+def _full_action_cost(game: Game, player: str) -> Fraction:
+    """Per-step price of the player's maximal action."""
+    p = game.energy(player)
     if player == ATTACKER:
-        per_step = max(cost for cost, _ in _attack_catalog(g, cm.mode, params))
-    else:
-        per_step = params.beta_recover * len(g.edges)
-    running = spent
-    for step in range(t, window_end + 1):
-        running += per_step
-        if running > budget_at(params, step):
-            return False
-    return True
+        return max(cost for cost, _ in _attack_catalog(game.graph, game.cost_model.mode, p))
+    return p.beta_recover * len(game.graph.edges)
+
+
+def _sustainable(spent, per_step, t: int, end: int, budget) -> bool:
+    """True iff spent + per_step*(s - t + 1) <= budget(s) at every step s in t..end.
+
+    Both sides are affine in s, so their gap is smallest at an end of the
+    window: the steps s = t and s = end decide all of them. An empty window
+    (t > end) is sustainable. Generic over the number type, so the Fraction
+    rule below and the solver's integer numerators share it.
+    """
+    return t > end or (spent + per_step <= budget(t) and spent + per_step * (end - t + 1) <= budget(end))
+
+
+def can_sustain_full_action(game: Game, player: str, spent: Fraction, t: int, window_end: int) -> bool:
+    """True iff the player could afford its maximal action at every step t..window_end."""
+    p = game.energy(player)
+    return _sustainable(spent, _full_action_cost(game, player), t, window_end, lambda s: budget_at(p, s))
 
 
 def _prefers(candidate, incumbent, want_more: bool) -> bool:
@@ -283,18 +311,11 @@ def _prefers(candidate, incumbent, want_more: bool) -> bool:
     return candidate.sort_key < incumbent.sort_key
 
 
-def tie_break(
-    candidates,
-    ctx: SolveContext,
-    player: str | None = None,
-    step_time: int | None = None,
-    window_end: int | None = None,
-    spent: Fraction | None = None,
-):
-    """Pick one action among equal-utility candidates.
+def tie_break(candidates, game: Game, player: str, step_time: int, window_end: int, spent: Fraction):
+    """Pick one of the player's equal-utility candidates at step_time, having spent `spent`.
 
-    A player that can sustain its maximal action through the remaining window
-    prefers acting on more items; otherwise on fewer. Residual ties go to the
+    A player that can sustain its maximal action through window_end prefers
+    acting on more items; otherwise on fewer. Residual ties go to the
     canonically smallest action.
     """
     if not candidates:
@@ -302,14 +323,7 @@ def tie_break(
     utilities = {u for _, u in candidates}
     if len(utilities) > 1:
         raise ValueError("tie_break candidates must share one utility value")
-    player = ctx.mover if player is None else player
-    step_time = ctx.t0 if step_time is None else step_time
-    if window_end is None:
-        window_end = ctx.t0 + ctx.schedule.horizon(player) - 1
-    spent = ctx.spent(player) if spent is None else spent
-    want_more = can_sustain_full_action(
-        ctx.params(player), player, ctx.base_graph, ctx.cost_model, spent, step_time, window_end
-    )
+    want_more = can_sustain_full_action(game, player, spent, step_time, window_end)
     best = candidates[0][0]
     for action, _ in candidates[1:]:
         if _prefers(action, best, want_more):
@@ -340,7 +354,7 @@ def opponent_layout(ctx: SolveContext) -> dict[int, OpponentSlot]:
     with their full windows clipped to the mover's, each starting where the
     previous one's territory ends.
     """
-    sched = ctx.schedule
+    sched = ctx.game.schedule
     w_end = ctx.t0 + sched.horizon(ctx.mover) - 1
     opp = opponent(ctx.mover)
     T_o, h_o = sched.period(opp), sched.horizon(opp)
@@ -396,14 +410,17 @@ class _Prices:
     holds the attack catalog with its prices, the defense catalog, the budget,
     attack-price, defense-price and sustain memos, and the affordability-
     filtered option lists. Each memo calls its rule (`budget_at`,
-    `AttackAction.cost`, `defense_cost`, `can_sustain_full_action`) once per
-    distinct argument; no rule is restated here.
+    `AttackAction.cost`, `defense_cost`, and `_sustainable` on the maximal
+    action's price) once per distinct argument; no rule is restated here.
     """
 
-    def __init__(self, g: Graph, M: int, att_p: EnergyParams, def_p: EnergyParams, cm: CostModel):
-        self.g, self.M, self.att_p, self.def_p, self.cm = g, M, att_p, def_p, cm
-        self.att_catalog = tuple((_over(c, M), a) for c, a in _attack_catalog(g, cm.mode, att_p))
-        self.def_catalog = _defense_catalog(g)
+    def __init__(self, game: Game, M: int):
+        self.game, self.M = game, M
+        self.att_catalog = tuple(
+            (_over(c, M), a) for c, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy)
+        )
+        self.def_catalog = _defense_catalog(game.graph)
+        self._full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
         self._budgets: dict = {}
         self._attack_prices: dict = {}
         self._defense_prices: dict = {}
@@ -411,37 +428,33 @@ class _Prices:
         self._att_options: dict = {}
         self._def_options: dict = {}
 
-    def params(self, player: str) -> EnergyParams:
-        return self.att_p if player == ATTACKER else self.def_p
-
     def budget(self, player: str, t: int) -> int:
         key = (player, t)
         hit = self._budgets.get(key)
         if hit is None:
-            hit = self._budgets[key] = _over(budget_at(self.params(player), t), self.M)
+            hit = self._budgets[key] = _over(budget_at(self.game.energy(player), t), self.M)
         return hit
 
     def defense_price(self, recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
         key = (recover, normal)
         hit = self._defense_prices.get(key)
         if hit is None:
-            cost, _ = defense_cost(recover, normal, self.cm, self.def_p)
+            cost, _ = defense_cost(recover, normal, self.game.cost_model, self.game.defender_energy)
             hit = self._defense_prices[key] = _over(cost, self.M)
         return hit
 
     def attack_price(self, action: AttackAction) -> int:
         hit = self._attack_prices.get(action)
         if hit is None:
-            hit = self._attack_prices[action] = _over(action.cost(self.att_p), self.M)
+            hit = self._attack_prices[action] = _over(action.cost(self.game.attacker_energy), self.M)
         return hit
 
     def sustain(self, player: str, spent: int, t: int, end: int) -> bool:
         key = (player, spent, t, end)
         hit = self._sustains.get(key)
         if hit is None:
-            hit = self._sustains[key] = can_sustain_full_action(
-                self.params(player), player, self.g, self.cm, Fraction(spent, self.M), t, end
-            )
+            hit = _sustainable(spent, self._full_cost[player], t, end, lambda s: self.budget(player, s))
+            self._sustains[key] = hit
         return hit
 
     # feasible candidates at absolute time t
@@ -465,22 +478,26 @@ class _Prices:
 
 
 class StepCache:
-    """Run-scoped memos of one game on one graph: step resolution and pricing.
+    """Run-scoped memos of one game: step resolution and pricing.
 
     A state comes in as the numerators of its values over some common
     denominator s. The consensus update is linear, so the next state's
     numerators over s*D, where D (`scale`) is the lcm of the weight
     denominators, do not depend on s: `step` caches on (numerators, resolved
-    edges) alone, and one cache serves every decision of a run. `prices`
-    hands out the pricing table of (M, attacker params, defender params, cost
-    model), built on first use, so every decision on the same money scale
-    shares its prices and option lists.
+    edges) alone, and one cache serves every decision of a run. `prices(M)`
+    hands out the pricing table over money scale M, built on first use, so
+    every decision on the same money scale shares its prices and option
+    lists. `money_scale` is the lcm of the energy parameters' denominators,
+    which every M is a multiple of.
     """
 
-    def __init__(self, g0: Graph, weights: Weights):
-        self.g0 = g0
-        self.weights = weights
-        self.scale = _common_denominator(weights.by_edge.values())
+    def __init__(self, game: Game):
+        self.game = game
+        self.scale = _common_denominator(game.weights.by_edge.values())
+        params = (game.attacker_energy, game.defender_energy)
+        self.money_scale = _common_denominator(
+            v for p in params for v in (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover) if v is not None
+        )
         self._resolved: dict = {}
         self._next: dict = {}
         self._prices: dict = {}
@@ -494,22 +511,21 @@ class StepCache:
         rkey = (attack.strong, attack.normal, defense.recover)
         g1 = self._resolved.get(rkey)
         if g1 is None:
-            _, g1 = apply_actions(self.g0, attack.strong, attack.normal, defense.recover)
+            _, g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
             self._resolved[rkey] = g1
         skey = (x, g1.edges)
         hit = self._next.get(skey)
         if hit is None:
-            x1 = tuple(_over(v, self.scale) for v in consensus_step(x, g1, self.weights))
+            x1 = tuple(_over(v, self.scale) for v in consensus_step(x, g1, self.game.weights))
             hit = (x1, int(state_difference(x1)), agent_group_index(g1))
             self._next[skey] = hit
         return hit
 
-    def prices(self, M: int, att_p: EnergyParams, def_p: EnergyParams, cm: CostModel) -> _Prices:
-        """The pricing table over money scale M for these energy parameters and cost model."""
-        key = (M, att_p, def_p, cm)
-        hit = self._prices.get(key)
+    def prices(self, M: int) -> _Prices:
+        """The pricing table over money scale M."""
+        hit = self._prices.get(M)
         if hit is None:
-            hit = self._prices[key] = _Prices(self.g0, *key)
+            hit = self._prices[M] = _Prices(self.game, M)
         return hit
 
 
@@ -533,27 +549,26 @@ class _Solver:
     lines, the sustain test and the option lists come from the step cache's
     pricing table for M (`StepCache.prices`), so a run prices each distinct
     argument once, not once per decision; without a cache the solver starts
-    from a fresh one.
+    from a fresh one. A cache built for another game is refused: its steps
+    and prices would be that game's.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
         self.ctx = ctx
+        game = ctx.game
         if cache is None:
-            cache = StepCache(ctx.base_graph, ctx.weights)
-        elif cache.g0 != ctx.base_graph:
-            raise ValueError("the step cache was built for another graph")
+            cache = StepCache(game)
+        elif cache.game is not game and cache.game != game:
+            raise ValueError("the step cache was built for another game")
         self.cache = cache
-        H = ctx.schedule.horizon(ctx.mover)
+        H = game.schedule.horizon(ctx.mover)
         self.w_end = ctx.t0 + H - 1
         self.layout = opponent_layout(ctx)
 
         den0 = _common_denominator(ctx.state)
         self.x0 = tuple(_over(v, den0) for v in ctx.state)
-        money = [ctx.attacker_spent, ctx.defender_spent]
-        for p in (ctx.attacker_params, ctx.defender_params):
-            money += (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover)
-        self.M = _common_denominator(v for v in money if v is not None)
-        D, util = cache.scale, ctx.util
+        self.M = math.lcm(cache.money_scale, ctx.attacker_spent.denominator, ctx.defender_spent.denominator)
+        D, util = cache.scale, game.util
         L = _common_denominator((util.a, util.b))
         self.Q = L * den0**2 * D ** (2 * H)
         # The step from t lands at depth d = t + 1 - t0, where the attacker-side
@@ -563,7 +578,7 @@ class _Solver:
         }
         self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
 
-        prices = cache.prices(self.M, ctx.attacker_params, ctx.defender_params, ctx.cost_model)
+        prices = cache.prices(self.M)
         self._attacks = prices.attacks
         self._defenses = prices.defenses
         self._attack_price = prices.attack_price
@@ -688,7 +703,7 @@ class _Solver:
             _, action, succ = self.outer(t, *node)
             steps.append(action)
             node = succ
-        period = ctx.schedule.period(ctx.mover)
+        period = ctx.game.schedule.period(ctx.mover)
         return Plan(
             owner=ctx.mover,
             decision_index=ctx.t0 // period + 1,
@@ -698,8 +713,6 @@ class _Solver:
         )
 
 
-def solve_decision(ctx: SolveContext, mover: str | None = None, cache: StepCache | None = None) -> Plan:
+def solve_decision(ctx: SolveContext, cache: StepCache | None = None) -> Plan:
     """Compute the mover's optimal plan over its window at decision time ctx.t0."""
-    if mover is not None and mover != ctx.mover:
-        ctx = replace(ctx, mover=mover)
     return _Solver(ctx, cache).solve()

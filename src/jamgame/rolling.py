@@ -1,11 +1,14 @@
 """Time-marching game execution.
 
-Walks k = 0..K-1, re-solving each player's plan at its decision times, applying
-the committed plan prefixes open-loop, resolving attacks against recoveries,
-stepping the consensus dynamics, and recording everything needed for analysis.
-The defender's planned recovery lands only on edges normally attacked that
-step; the rest of the planned set is waste. A run stops early once the state
-is numerically stationary for a configured number of consecutive steps.
+Walks k = 0..K-1 over the scenario's `Game`. At every step where its
+`Schedule` says a player decides, the player's plan is re-solved from the
+current state, spends and knowledge, with one `StepCache` shared by every
+decision of the run. The committed plan prefixes are applied open-loop,
+attacks are resolved against recoveries, the consensus dynamics step, and
+everything needed for analysis is recorded. The defender's planned recovery
+lands only on edges normally attacked that step; the rest of the planned set
+is waste. A run stops early once the state is numerically stationary for a
+configured number of consecutive steps.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import State, consensus_step
-from .energy import EnergyLedger, defense_cost
+from .energy import EnergyLedger, budget_at, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
@@ -33,24 +36,6 @@ from .network import Edge, apply_actions
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class DecisionTimes:
-    attacker: tuple[int, ...]
-    defender: tuple[int, ...]
-    common: tuple[int, ...]
-
-
-def decision_times(sched: Schedule, K: int) -> DecisionTimes:
-    """All decision points in [0, K); common times are where both re-decide."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    return DecisionTimes(
-        attacker=tuple(range(0, K, sched.T_attacker)),
-        defender=tuple(range(0, K, sched.T_defender)),
-        common=tuple(range(0, K, sched.lcm_period)),
-    )
-
-
 def knowledge_for(mover: str, k: int, opponent_plan: Plan | None, sched: Schedule) -> tuple[CommittedBlock, ...]:
     """The opponent block the mover is entitled to know when deciding at k.
 
@@ -65,7 +50,7 @@ def knowledge_for(mover: str, k: int, opponent_plan: Plan | None, sched: Schedul
     if opponent_plan is None or opponent_plan.owner == mover or opponent_plan.start_time >= k:
         return ()
     t_d = opponent_plan.start_time
-    if t_d % sched.lcm_period != 0:
+    if not (sched.decides(ATTACKER, t_d) and sched.decides(DEFENDER, t_d)):
         t_m = (t_d // sched.period(mover)) * sched.period(mover)
         if t_d + len(opponent_plan.steps) - 1 > t_m + sched.horizon(mover) - 1:
             return ()
@@ -106,36 +91,14 @@ class Trace:
         return [self.scenario.initial_state] + [s.state for s in self.steps]
 
 
-def _solve(scenario: Scenario, sched: Schedule, mover: str, k: int, x: State,
-           att: EnergyLedger, dfn: EnergyLedger, current: dict[str, Plan],
-           cache: StepCache) -> Plan:
-    ctx = SolveContext(
-        base_graph=scenario.graph,
-        weights=scenario.weights,
-        util=scenario.util,
-        state=x,
-        t0=k,
-        mover=mover,
-        schedule=sched,
-        attacker_params=scenario.attacker_energy,
-        defender_params=scenario.defender_energy,
-        cost_model=scenario.cost_model,
-        attacker_spent=att.spent,
-        defender_spent=dfn.spent,
-        known_blocks=knowledge_for(mover, k, current.get(opponent(mover)), sched),
-    )
-    return solve_decision(ctx, cache=cache)
-
-
 def run(scenario: Scenario) -> Trace:
     """Execute one full game and return its trace."""
-    sched = scenario.schedule
-    g = scenario.graph
-    cm = scenario.cost_model
-    cache = StepCache(g, scenario.weights)
+    game = scenario.game
+    sched, g = game.schedule, game.graph
+    cache = StepCache(game)
     x = scenario.initial_state
-    att_ledger = EnergyLedger(scenario.attacker_energy)
-    def_ledger = EnergyLedger(scenario.defender_energy)
+    att_ledger = EnergyLedger(game.attacker_energy)
+    def_ledger = EnergyLedger(game.defender_energy)
     plans: list[Plan] = []
     current: dict[str, Plan] = {}
     steps: list[TraceStep] = []
@@ -143,18 +106,18 @@ def run(scenario: Scenario) -> Trace:
     converged_at = None
 
     for k in range(scenario.K):
-        if k % sched.T_attacker == 0:
-            current[ATTACKER] = _solve(scenario, sched, ATTACKER, k, x, att_ledger, def_ledger, current, cache)
-            plans.append(current[ATTACKER])
-        if k % sched.T_defender == 0:
-            current[DEFENDER] = _solve(scenario, sched, DEFENDER, k, x, att_ledger, def_ledger, current, cache)
-            plans.append(current[DEFENDER])
+        for mover in (ATTACKER, DEFENDER):
+            if sched.decides(mover, k):
+                known = knowledge_for(mover, k, current.get(opponent(mover)), sched)
+                ctx = SolveContext(game, x, k, mover, att_ledger.spent, def_ledger.spent, known)
+                current[mover] = solve_decision(ctx, cache)
+                plans.append(current[mover])
 
         atk = current[ATTACKER].steps[k - current[ATTACKER].start_time]
         dfn = current[DEFENDER].steps[k - current[DEFENDER].start_time]
 
-        a_cost = atk.cost(scenario.attacker_energy)
-        d_cost, d_waste = defense_cost(dfn.recover, atk.normal, cm, scenario.defender_energy)
+        a_cost = atk.cost(game.attacker_energy)
+        d_cost, d_waste = defense_cost(dfn.recover, atk.normal, game.cost_model, game.defender_energy)
 
         att_ledger = att_ledger.charge(a_cost)
         def_ledger = def_ledger.charge(d_cost, d_waste)
@@ -162,12 +125,12 @@ def run(scenario: Scenario) -> Trace:
             if not ledger.within_budget(k):
                 raise RuntimeError(
                     f"committed {who} action exceeds budget at k={k}: "
-                    f"spent {ledger.spent}, budget {ledger.params.kappa + ledger.params.rho * k}"
+                    f"spent {ledger.spent}, budget {budget_at(ledger.params, k)}"
                 )
 
         _, resolved = apply_actions(g, atk.strong, atk.normal, dfn.recover)
-        x_next = consensus_step(x, resolved, scenario.weights)
-        payoff = step_payoff(x_next, resolved, scenario.util)
+        x_next = consensus_step(x, resolved, game.weights)
+        payoff = step_payoff(x_next, resolved, game.util)
 
         steps.append(
             TraceStep(

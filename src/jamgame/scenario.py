@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .dynamics import State, Weights, as_fraction, make_state
 from .energy import EDGE_ATTACK, NODE_ATTACK, WASTE_CHARGED, WASTE_FREE, CostModel, EnergyParams
-from .game import Schedule, UtilityWeights
+from .game import Game, Schedule, UtilityWeights
 from .network import Graph, is_connected
 
 FORMAT_VERSION = 1
@@ -62,7 +62,7 @@ class Scenario:
     work_bound_theta: int = DEFAULT_WORK_BOUND_THETA
     name: str = ""
     description: str = ""
-    schedule: Schedule = dataclasses.field(init=False, repr=False, compare=False)
+    game: Game = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_connected(self.graph):
@@ -73,7 +73,14 @@ class Scenario:
             schedule = Schedule(self.T_attacker, self.T_defender, self.h_attacker, self.h_defender)
         except ValueError as exc:
             raise ScenarioError("periods", str(exc)) from exc
-        object.__setattr__(self, "schedule", schedule)
+        try:
+            game = Game(
+                self.graph, self.weights, self.util, schedule,
+                self.attacker_energy, self.defender_energy, self.cost_model,
+            )
+        except ValueError as exc:
+            raise ScenarioError("weights", str(exc)) from exc
+        object.__setattr__(self, "game", game)
         if self.K < 1:
             raise ScenarioError("K", "run length must be at least 1")
         if self.convergence_eps <= 0:
@@ -126,6 +133,12 @@ def _int_field(raw, field: str) -> int:
     raise ScenarioError(field, f"expected an integer, got {raw!r}")
 
 
+def _str_field(raw, field: str) -> str:
+    if not isinstance(raw, str):
+        raise ScenarioError(field, f"expected a JSON string, got {raw!r}")
+    return raw
+
+
 def _fraction_field(raw, field: str) -> Fraction:
     try:
         return as_fraction(raw)
@@ -165,7 +178,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ScenarioError(sorted(unknown)[0], "unknown field")
-    version = data.get("format_version", FORMAT_VERSION)
+    version = _int_field(data.get("format_version", FORMAT_VERSION), "format_version")
     if version != FORMAT_VERSION:
         raise ScenarioError("format_version", f"unsupported version {version!r}")
 
@@ -276,8 +289,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         work_bound_theta=_int_field(
             bounds_raw.get("theta", DEFAULT_WORK_BOUND_THETA), "work_bounds.theta"
         ),
-        name=str(data.get("name", "")),
-        description=str(data.get("description", "")),
+        name=_str_field(data.get("name", ""), "name"),
+        description=_str_field(data.get("description", ""), "description"),
     )
 
 

@@ -23,20 +23,25 @@ from jamgame.analysis import (
 from jamgame.dynamics import Weights, consensus_step, make_state, state_difference
 from jamgame.energy import CostModel, EnergyParams, WASTE_FREE, budget_at
 from jamgame.game import (
+    ATTACKER,
+    DEFENDER,
     AttackAction,
     CommittedBlock,
     DefenseAction,
+    Game,
     Schedule,
     SolveContext,
     UtilityWeights,
     solve_decision,
 )
 from jamgame.network import Graph, agent_group_index, is_connected
-from jamgame.rolling import decision_times, run
+from jamgame.rolling import run
 from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
+# The static bounds read only the attacker's energy; a game still needs a defender.
+ANY_DEFENDER = EnergyParams(kappa=1, rho=1, beta_recover=1)
 
 
 def test_scarce_defender_run_splits_into_two_clusters():
@@ -82,15 +87,17 @@ def test_group_count_vector_and_cluster_bound_on_diamond():
     attacker = EnergyParams(
         kappa=Fraction(7, 2), rho=Fraction(7, 2), beta_normal=1, beta_strong=2
     )
-    util = UtilityWeights()
+    def game(schedule):
+        return Game(DIAMOND, Weights.uniform(DIAMOND), UtilityWeights(), schedule, attacker, ANY_DEFENDER)
+
     # Nested cadences price the sustained attack at the strong rate: floor(3.5/2) = 1 edge.
     nested = Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2)
     per_step = Schedule(T_attacker=2, T_defender=1, h_attacker=2, h_defender=2)
-    assert cluster_upper_bound(DIAMOND, attacker, nested, util) == 2
-    assert cluster_upper_bound(DIAMOND, attacker, per_step, util) == 2
+    assert cluster_upper_bound(game(nested)) == 2
+    assert cluster_upper_bound(game(per_step)) == 2
     # Otherwise the normal rate governs: floor(3.5/1) = 3 edges.
     staggered = Schedule(T_attacker=2, T_defender=3, h_attacker=3, h_defender=3)
-    assert cluster_upper_bound(DIAMOND, attacker, staggered, util) == 3
+    assert cluster_upper_bound(game(staggered)) == 3
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -101,11 +108,12 @@ def test_rate_condition_report_on_three_agent_path():
     attacker = EnergyParams(
         kappa=Fraction(3, 2), rho=Fraction(3, 2), beta_normal=1, beta_strong=2
     )
-    util = UtilityWeights()
+    def game(schedule):
+        return Game(PATH3, Weights.uniform(PATH3), UtilityWeights(), schedule, attacker, ANY_DEFENDER)
 
     # Mismatched cadence: only the normal-price test binds, and it passes.
     mismatched = Schedule(T_attacker=1, T_defender=2, h_attacker=3, h_defender=2)
-    loose = check_conditions(PATH3, attacker, mismatched, util)
+    loose = check_conditions(game(mismatched))
     assert loose.edge_conn == 1
     assert loose.ratio_normal == Fraction(3, 2)
     assert loose.necessary_normal is True
@@ -116,7 +124,7 @@ def test_rate_condition_report_on_three_agent_path():
 
     # Matched cadence: the strong-price test becomes applicable (and fails).
     same = Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2)
-    matched = check_conditions(PATH3, attacker, same, util)
+    matched = check_conditions(game(same))
     assert matched.case_a is True
     assert matched.tighter_applicable is True
     assert matched.necessary_strong is False
@@ -154,36 +162,27 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             for h_dfn, t_dfn in cadences:
                 for att, dfn in (ZERO_REGIME, MID_REGIME, RICH_REGIME):
                     for mover in ("attacker", "defender"):
-                        ctx = SolveContext(
-                            base_graph=g,
-                            weights=weights,
-                            util=UtilityWeights(),
-                            state=make_state([1, 2, 3]),
-                            t0=0,
-                            mover=mover,
-                            schedule=Schedule(
-                                T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn
-                            ),
-                            attacker_params=att,
-                            defender_params=dfn,
+                        game = Game(
+                            g, weights, UtilityWeights(),
+                            Schedule(T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn),
+                            att, dfn,
                         )
+                        ctx = SolveContext(game, make_state([1, 2, 3]), t0=0, mover=mover)
                         assert solve_decision(ctx) == brute_force_equilibrium(ctx)
                         checked += 1
     assert checked == 162
 
     # Staggered starts, with and without a committed opponent block in force.
+    def path_game(schedule, regime):
+        return Game(PATH3, Weights.uniform(PATH3), UtilityWeights(), schedule, *regime)
+
     edge = (1, 2)
     staggered = [
         SolveContext(
-            base_graph=PATH3,
-            weights=Weights.uniform(PATH3),
-            util=UtilityWeights(),
-            state=make_state([0, 4, 8]),
+            path_game(Schedule(T_attacker=1, T_defender=2, h_attacker=2, h_defender=2), MID_REGIME),
+            make_state([0, 4, 8]),
             t0=1,
             mover="attacker",
-            schedule=Schedule(T_attacker=1, T_defender=2, h_attacker=2, h_defender=2),
-            attacker_params=MID_REGIME[0],
-            defender_params=MID_REGIME[1],
             known_blocks=(
                 CommittedBlock(
                     "defender", 0, (DefenseAction.empty(), DefenseAction(frozenset({edge})))
@@ -191,28 +190,18 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             ),
         ),
         SolveContext(
-            base_graph=PATH3,
-            weights=Weights.uniform(PATH3),
-            util=UtilityWeights(),
-            state=make_state([0, 4, 8]),
+            path_game(Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2), RICH_REGIME),
+            make_state([0, 4, 8]),
             t0=2,
             mover="attacker",
-            schedule=Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2),
-            attacker_params=RICH_REGIME[0],
-            defender_params=RICH_REGIME[1],
             attacker_spent=Fraction(3),
             defender_spent=Fraction(1),
         ),
         SolveContext(
-            base_graph=PATH3,
-            weights=Weights.uniform(PATH3),
-            util=UtilityWeights(),
-            state=make_state([0, 4, 8]),
+            path_game(Schedule(T_attacker=2, T_defender=1, h_attacker=2, h_defender=2), MID_REGIME),
+            make_state([0, 4, 8]),
             t0=1,
             mover="defender",
-            schedule=Schedule(T_attacker=2, T_defender=1, h_attacker=2, h_defender=2),
-            attacker_params=MID_REGIME[0],
-            defender_params=MID_REGIME[1],
             known_blocks=(
                 CommittedBlock(
                     "attacker",
@@ -222,15 +211,10 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             ),
         ),
         SolveContext(
-            base_graph=PATH3,
-            weights=Weights.uniform(PATH3),
-            util=UtilityWeights(),
-            state=make_state([0, 4, 8]),
+            path_game(Schedule(T_attacker=1, T_defender=3, h_attacker=2, h_defender=3), MID_REGIME),
+            make_state([0, 4, 8]),
             t0=3,
             mover="defender",
-            schedule=Schedule(T_attacker=1, T_defender=3, h_attacker=2, h_defender=3),
-            attacker_params=MID_REGIME[0],
-            defender_params=MID_REGIME[1],
             attacker_spent=Fraction(3),
             defender_spent=Fraction(1),
         ),
@@ -267,19 +251,16 @@ def test_solver_matches_exhaustive_search_on_fractional_instances():
                 continue
             for att, dfn in regimes:
                 for mover in ("attacker", "defender"):
+                    game = Game(
+                        PATH3, weights, UtilityWeights(a=Fraction(2, 3), b=Fraction(1, 5)),
+                        Schedule(T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn),
+                        att, dfn, cost_model,
+                    )
                     ctx = SolveContext(
-                        base_graph=PATH3,
-                        weights=weights,
-                        util=UtilityWeights(a=Fraction(2, 3), b=Fraction(1, 5)),
-                        state=make_state(["1/2", "-5/3", "7/4"]),
+                        game,
+                        make_state(["1/2", "-5/3", "7/4"]),
                         t0=2,
                         mover=mover,
-                        schedule=Schedule(
-                            T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn
-                        ),
-                        attacker_params=att,
-                        defender_params=dfn,
-                        cost_model=cost_model,
                         attacker_spent=Fraction(7, 3),
                         defender_spent=Fraction(5, 4),
                     )
@@ -469,8 +450,10 @@ def test_mismatched_cadences_share_a_decision_time_every_six_steps():
     # Tolerance: exact tuples.
     sched = Schedule(T_attacker=2, T_defender=3, h_attacker=6, h_defender=4)
     assert sched.lcm_period == 6
-    times = decision_times(sched, 19)
-    assert times.attacker == tuple(range(0, 19, 2))
-    assert times.defender == tuple(range(0, 19, 3))
-    assert times.common == (0, 6, 12, 18)
-    assert all(t % 6 == 0 for t in times.common)
+    attacker = tuple(k for k in range(19) if sched.decides(ATTACKER, k))
+    defender = tuple(k for k in range(19) if sched.decides(DEFENDER, k))
+    assert attacker == tuple(range(0, 19, 2))
+    assert defender == tuple(range(0, 19, 3))
+    common = tuple(k for k in attacker if k in defender)
+    assert common == (0, 6, 12, 18)
+    assert all(t % 6 == 0 for t in common)

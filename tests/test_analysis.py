@@ -17,8 +17,8 @@ from jamgame.analysis import (
 )
 from jamgame.cli import main
 from jamgame.dynamics import Weights, make_state
-from jamgame.energy import CostModel, EnergyParams
-from jamgame.game import ATTACKER, DEFENDER, Schedule, SolveContext, UtilityWeights, solve_decision
+from jamgame.energy import EnergyParams
+from jamgame.game import ATTACKER, DEFENDER, Game, Schedule, SolveContext, UtilityWeights, solve_decision
 from jamgame.network import Graph, group_count
 from jamgame.rolling import run
 from jamgame.scenario import Scenario, bundled_scenario
@@ -32,6 +32,13 @@ UTIL = UtilityWeights(a=1, b=0)
 
 def schedule(horizons, periods):
     return Schedule(T_attacker=periods[0], T_defender=periods[1], h_attacker=horizons[0], h_defender=horizons[1])
+
+
+def game(g, att, horizons, periods, util=UTIL, dfn=("0.5", "0.5", 1)):
+    return Game(
+        g, Weights.uniform(g), util, schedule(horizons, periods),
+        EnergyParams.attacker(*att), EnergyParams.defender(*dfn),
+    )
 
 
 class TestThetaVector:
@@ -111,7 +118,7 @@ class TestThetaKernel:
         calls = []
         monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: calls.append(a) or kernel(*a, **k))
         s = bundled_scenario("theta_example")
-        limit = cluster_upper_bound(s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model)
+        limit = cluster_upper_bound(s.game)
         assert len(calls) == 1  # the bound needs theta here
         calls.clear()
         assert main(["analyze", "theta_example", "--json"]) == 0
@@ -120,7 +127,7 @@ class TestThetaKernel:
 
 
 def report(att=("1.5", "1.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL, g=PATH3):
-    return check_conditions(g, EnergyParams.attacker(*att), schedule(horizons, periods), util)
+    return check_conditions(game(g, att, horizons, periods, util))
 
 
 class TestCheckConditions:
@@ -166,7 +173,7 @@ class TestCheckConditions:
 
 class TestClusterUpperBound:
     def bound(self, att=("3.5", "3.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL, g=DIAMOND4):
-        return cluster_upper_bound(g, EnergyParams.attacker(*att), schedule(horizons, periods), util, CostModel())
+        return cluster_upper_bound(game(g, att, horizons, periods, util))
 
     def test_tighter_case_uses_strong_price(self):
         assert self.bound() == 2
@@ -240,23 +247,17 @@ class TestConsensusVerdict:
             v = consensus_verdict(run(s))
             if v.verdict == "undecided":
                 continue
-            limit = cluster_upper_bound(s.graph, s.attacker_energy, s.schedule, s.util, s.cost_model)
+            limit = cluster_upper_bound(s.game)
             assert v.clusters.group_count <= limit
 
 
 def make_ctx(mover, h=(1, 1), T=(1, 1), g=PATH3, x=(1, 2, 3), att=("1.5", "1.5", 1, 2),
              dfn=("0.5", "0.5", 1), t0=0, spent=(0, 0), known=()):
     return SolveContext(
-        base_graph=g,
-        weights=Weights.uniform(g),
-        util=UTIL,
+        game=game(g, att, h, T, dfn=dfn),
         state=make_state(x),
         t0=t0,
         mover=mover,
-        schedule=schedule(h, T),
-        attacker_params=EnergyParams.attacker(*att),
-        defender_params=EnergyParams.defender(*dfn),
-        cost_model=CostModel(),
         attacker_spent=Fraction(spent[0]),
         defender_spent=Fraction(spent[1]),
         known_blocks=tuple(known),

@@ -40,22 +40,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights.uniform(PATH3, Fraction(1, 2))
 
-    def test_matrix_round_trip(self):
-        m = [[0, 0.25, 0], [0.25, 0, 0.25], [0, 0.25, 0]]
-        w = Weights.from_matrix(PATH3, m)
-        assert w.get((1, 2)) == Fraction(1, 4)
-        assert w.get((2, 3)) == Fraction(1, 4)
-
-    def test_matrix_rejects_asymmetry(self):
-        m = [[0, 0.25, 0], [0.2, 0, 0.25], [0, 0.25, 0]]
-        with pytest.raises(ValueError):
-            Weights.from_matrix(PATH3, m)
-
-    def test_matrix_rejects_weight_on_non_edge(self):
-        m = [[0, 0, 0.25], [0, 0, 0], [0.25, 0, 0]]
-        with pytest.raises(ValueError):
-            Weights.from_matrix(PATH3, m)
-
 
 class TestConsensusStep:
     def test_equal_states_are_fixed_point(self):

@@ -1,8 +1,11 @@
 """Tests for action enumeration, step payoffs, tie-breaking, and the plan solver."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import CostModel, EnergyParams
@@ -14,6 +17,7 @@ from jamgame.game import (
     AttackAction,
     CommittedBlock,
     DefenseAction,
+    Game,
     Plan,
     Schedule,
     SolveContext,
@@ -22,6 +26,7 @@ from jamgame.game import (
     _attack_catalog,
     _defense_catalog,
     _Solver,
+    can_sustain_full_action,
     opponent_layout,
     solve_decision,
     step_payoff,
@@ -54,19 +59,22 @@ def make_ctx(
     defender_spent=0,
     known_blocks=(),
 ):
-    return SolveContext(
-        base_graph=graph,
+    game = Game(
+        graph=graph,
         weights=Weights.uniform(graph),
         util=util,
-        state=make_state(state),
-        t0=t0,
-        mover=mover,
         schedule=Schedule(
             T_attacker=T_attacker, T_defender=T_defender, h_attacker=h_attacker, h_defender=h_defender
         ),
-        attacker_params=attacker,
-        defender_params=defender,
+        attacker_energy=attacker,
+        defender_energy=defender,
         cost_model=cost_model,
+    )
+    return SolveContext(
+        game=game,
+        state=make_state(state),
+        t0=t0,
+        mover=mover,
         attacker_spent=Fraction(attacker_spent),
         defender_spent=Fraction(defender_spent),
         known_blocks=known_blocks,
@@ -187,38 +195,43 @@ class TestStepPayoff:
         assert step_payoff(x, split, UtilityWeights(a=0, b=1)) == 4
 
 
+def attacker_tie_break(candidates, ctx):
+    """tie_break for the attacker at ctx's decision time, over its one-step window."""
+    return tie_break(candidates, ctx.game, ATTACKER, ctx.t0, ctx.t0, ctx.attacker_spent)
+
+
 class TestTieBreak:
     def test_single_candidate(self):
         ctx = make_ctx()
         one = attack(normal=[(1, 2)])
-        assert tie_break([(one, Fraction(3))], ctx, player=ATTACKER) == one
+        assert attacker_tie_break([(one, Fraction(3))], ctx) == one
 
     def test_abundant_energy_prefers_more_edges(self):
         ctx = make_ctx()
         small = attack(normal=[(1, 2)])
         large = attack(normal=[(1, 2), (2, 3)])
-        assert tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx, player=ATTACKER) == large
+        assert attacker_tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx) == large
 
     def test_scarce_energy_prefers_fewer_edges(self):
         p = EnergyParams.attacker(kappa=3, rho=3, beta_normal=1, beta_strong=2)
         ctx = make_ctx(attacker=p)
         small = attack(normal=[(1, 2)])
         large = attack(normal=[(1, 2), (2, 3)])
-        assert tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx, player=ATTACKER) == small
+        assert attacker_tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx) == small
 
     def test_equal_size_falls_back_to_canonical_order(self):
         ctx = make_ctx()
         strong = attack(strong=[(1, 2)])
         normal = attack(normal=[(1, 2)])
         # the all-normal action sorts before the all-strong one
-        assert tie_break([(strong, Fraction(1)), (normal, Fraction(1))], ctx, player=ATTACKER) == normal
+        assert attacker_tie_break([(strong, Fraction(1)), (normal, Fraction(1))], ctx) == normal
 
     def test_rejects_empty_and_mixed_utilities(self):
         ctx = make_ctx()
         with pytest.raises(ValueError):
-            tie_break([], ctx)
+            attacker_tie_break([], ctx)
         with pytest.raises(ValueError):
-            tie_break([(attack(), Fraction(0)), (attack(normal=[(1, 2)]), Fraction(1))], ctx)
+            attacker_tie_break([(attack(), Fraction(0)), (attack(normal=[(1, 2)]), Fraction(1))], ctx)
 
 
 class TestOpponentLayout:
@@ -278,13 +291,14 @@ def one_shot_table(ctx):
     from jamgame.energy import attack_cost, budget_at, defense_cost
     from jamgame.network import apply_actions
 
-    edges = ctx.base_graph.sorted_edges
+    game = ctx.game
+    edges = game.graph.sorted_edges
     attacks = []
     for marks in product(("idle", "normal", "strong"), repeat=len(edges)):
         strong = [e for e, m in zip(edges, marks) if m == "strong"]
         normal = [e for e, m in zip(edges, marks) if m == "normal"]
-        cost = attack_cost(strong, normal, ctx.attacker_params)
-        if ctx.attacker_spent + cost <= budget_at(ctx.attacker_params, ctx.t0) or not (strong or normal):
+        cost = attack_cost(strong, normal, game.attacker_energy)
+        if ctx.attacker_spent + cost <= budget_at(game.attacker_energy, ctx.t0) or not (strong or normal):
             attacks.append(attack(strong, normal))
     defenses = [defense(c) for i in range(len(edges) + 1) for c in combinations(edges, i)]
 
@@ -292,18 +306,18 @@ def one_shot_table(ctx):
     for atk in attacks:
         responses = []
         for d in defenses:
-            cost, _ = defense_cost(d.recover, atk.normal, ctx.cost_model, ctx.defender_params)
-            if ctx.defender_spent + cost > budget_at(ctx.defender_params, ctx.t0):
+            cost, _ = defense_cost(d.recover, atk.normal, game.cost_model, game.defender_energy)
+            if ctx.defender_spent + cost > budget_at(game.defender_energy, ctx.t0):
                 continue
-            _, resolved = apply_actions(ctx.base_graph, atk.strong, atk.normal, d.recover)
-            x1 = consensus_step(ctx.state, resolved, ctx.weights)
-            responses.append((d, -ctx.util.a * state_difference(x1)))
+            _, resolved = apply_actions(game.graph, atk.strong, atk.normal, d.recover)
+            x1 = consensus_step(ctx.state, resolved, game.weights)
+            responses.append((d, -game.util.a * state_difference(x1)))
         best_def = max(u for _, u in responses)
         cands = [(d, u) for d, u in responses if u == best_def]
-        d_star = tie_break(cands, ctx, player=DEFENDER, window_end=ctx.t0)
-        _, resolved = apply_actions(ctx.base_graph, atk.strong, atk.normal, d_star.recover)
-        x1 = consensus_step(ctx.state, resolved, ctx.weights)
-        rows[atk] = (d_star, ctx.util.a * state_difference(x1))
+        d_star = tie_break(cands, game, DEFENDER, ctx.t0, ctx.t0, ctx.defender_spent)
+        _, resolved = apply_actions(game.graph, atk.strong, atk.normal, d_star.recover)
+        x1 = consensus_step(ctx.state, resolved, game.weights)
+        rows[atk] = (d_star, game.util.a * state_difference(x1))
     return rows
 
 
@@ -323,7 +337,7 @@ class TestSolveOneShot:
         table = one_shot_table(ctx)
         best = max(u for _, u in table.values())
         cands = [(a, u) for a, (_, u) in table.items() if u == best]
-        expected = tie_break(cands, ctx, player=ATTACKER, window_end=0)
+        expected = attacker_tie_break(cands, ctx)
         assert solve_decision(ctx).steps == (expected,)
 
     def test_attacker_short_of_strong_stays_idle(self):
@@ -443,9 +457,71 @@ class TestSharedPricing:
             for mover in (ATTACKER, DEFENDER)
         ]
         assert len({_Solver(c).M for c in ctxs}) == 3
-        shared = StepCache(PATH3, ctxs[0].weights)
+        shared = StepCache(ctxs[0].game)
         assert [solve_decision(c, cache=shared) for c in ctxs] == [solve_decision(c) for c in ctxs]
 
     def test_cache_of_another_graph_is_refused(self):
-        with pytest.raises(ValueError, match="another graph"):
-            solve_decision(make_ctx(), cache=StepCache(EDGE1, Weights.uniform(EDGE1)))
+        with pytest.raises(ValueError, match="another game"):
+            solve_decision(make_ctx(), cache=StepCache(make_ctx(graph=EDGE1, state=(0, 1)).game))
+
+    def test_cache_of_other_weights_is_refused(self):
+        ctx = make_ctx(state=(0, 3, 7), h_attacker=2, h_defender=2)
+        cache = StepCache(ctx.game)
+        solve_decision(ctx, cache)
+        other = Weights(3, {(1, 2): Fraction(1, 5), (2, 3): Fraction(2, 5)})
+        reweighted = SolveContext(
+            Game(PATH3, other, ctx.game.util, ctx.game.schedule, ctx.game.attacker_energy, ctx.game.defender_energy),
+            ctx.state, ctx.t0, ctx.mover,
+        )
+        with pytest.raises(ValueError, match="another game"):
+            solve_decision(reweighted, cache)
+        assert solve_decision(reweighted, StepCache(reweighted.game)) == solve_decision(reweighted)
+
+
+class TestGame:
+    def test_weights_for_another_agent_count_are_refused(self):
+        # A weight on a non-edge is refused too; the scenario parser's malformed-field test covers it.
+        game = make_ctx().game
+        weights = Weights(4, {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 3)})
+        with pytest.raises(ValueError, match="4 agents"):
+            Game(game.graph, weights, game.util, game.schedule, game.attacker_energy, game.defender_energy)
+
+
+def stepwise_sustain(spent, per_step, kappa, rho, t, end):
+    """Reference: walk every step of the window, as the rule reads."""
+    running = spent
+    for s in range(t, end + 1):
+        running += per_step
+        if running > kappa + rho * s:
+            return False
+    return True
+
+
+positive = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+
+
+class TestSustainRule:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph=st.sampled_from([EDGE1, PATH3, CYCLE4]),
+        mode=st.sampled_from(["edge", "node"]),
+        rho=positive,
+        headroom=st.fractions(min_value=0, max_value=12, max_denominator=12),
+        per_step=positive,
+        spent=st.fractions(min_value=0, max_value=30, max_denominator=12),
+        t=st.integers(min_value=0, max_value=12),
+        span=st.integers(min_value=-3, max_value=8),
+    )
+    def test_closed_form_matches_stepwise_loop(self, graph, mode, rho, headroom, per_step, spent, t, span):
+        # The maximal action costs per_step: every item strong, or every edge recovered.
+        kappa, end = rho + headroom, t + span
+        items = graph.n if mode == "node" else len(graph.edges)
+        att = EnergyParams.attacker(kappa, rho, beta_normal=per_step / items / 2, beta_strong=per_step / items)
+        dfn = EnergyParams.defender(kappa, rho, beta_recover=per_step / len(graph.edges))
+        game = Game(graph, Weights.uniform(graph), UtilityWeights(), Schedule(1, 1, 1, 1), att, dfn, CostModel(mode))
+        expected = stepwise_sustain(spent, per_step, kappa, rho, t, end)
+        cache = StepCache(game)
+        prices = cache.prices(math.lcm(cache.money_scale, spent.denominator))
+        for player in (ATTACKER, DEFENDER):
+            assert can_sustain_full_action(game, player, spent, t, end) == expected
+            assert prices.sustain(player, int(spent * prices.M), t, end) == expected

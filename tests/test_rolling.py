@@ -10,7 +10,7 @@ from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
 from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph, apply_actions
-from jamgame.rolling import Trace, decision_times, knowledge_for, run
+from jamgame.rolling import Trace, knowledge_for, run
 from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -66,27 +66,30 @@ class TestSchedule:
             Schedule(T_attacker=3, T_defender=1, h_attacker=2, h_defender=1)
 
 
+def decision_times(sched, player, K):
+    return tuple(k for k in range(K) if sched.decides(player, k))
+
+
 class TestDecisionTimes:
     def test_staggered_schedule(self):
-        times = decision_times(FIG1, 7)
-        assert times.attacker == (0, 2, 4, 6)
-        assert times.defender == (0, 3, 6)
-        assert times.common == (0, 6)
+        assert decision_times(FIG1, ATTACKER, 7) == (0, 2, 4, 6)
+        assert decision_times(FIG1, DEFENDER, 7) == (0, 3, 6)
+        assert tuple(k for k in range(7) if k % FIG1.lcm_period == 0) == (0, 6)
 
     def test_every_step_when_periods_are_one(self):
-        times = decision_times(Schedule(1, 1, 2, 2), 4)
-        assert times.attacker == (0, 1, 2, 3)
-        assert times.defender == (0, 1, 2, 3)
-        assert times.common == (0, 1, 2, 3)
+        sched = Schedule(1, 1, 2, 2)
+        assert decision_times(sched, ATTACKER, 4) == (0, 1, 2, 3)
+        assert decision_times(sched, DEFENDER, 4) == (0, 1, 2, 3)
+        assert sched.lcm_period == 1
 
     def test_fast_attacker_slow_defender(self):
-        times = decision_times(Schedule(1, 2, 3, 2), 4)
-        assert times.attacker == (0, 1, 2, 3)
-        assert times.defender == (0, 2)
+        sched = Schedule(1, 2, 3, 2)
+        assert decision_times(sched, ATTACKER, 4) == (0, 1, 2, 3)
+        assert decision_times(sched, DEFENDER, 4) == (0, 2)
 
-    def test_rejects_empty_horizon(self):
-        with pytest.raises(ValueError):
-            decision_times(FIG1, 0)
+    def test_no_decision_before_time_zero(self):
+        assert not FIG1.decides(ATTACKER, -2)
+        assert not FIG1.decides(DEFENDER, -3)
 
 
 class TestKnowledgeFor:

@@ -129,6 +129,10 @@ class TestValidation:
             ("work_bounds", 30),
             ("horizons", [3, 2]),
             ("initial_state", "123"),
+            ("weights", {"kind": "matrix", "by_edge": {"1-2": "1/3", "2-3": "1/3", "1-3": "1/4"}}),
+            ("name", None),
+            ("description", [1]),
+            ("format_version", True),
         ],
     )
     def test_malformed_field_rejected_not_truncated(self, field, value):
