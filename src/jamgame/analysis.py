@@ -236,12 +236,11 @@ class ConsensusVerdict:
     union_connected: bool | None
 
 
-def consensus_verdict(trace: Trace, tol: Fraction | None = None, window: int | None = None) -> ConsensusVerdict:
+def consensus_verdict(trace: Trace) -> ConsensusVerdict:
+    """Clusters at the scenario's cluster_tol; union windows span four lcm periods."""
     s = trace.scenario
-    tol = s.cluster_tol if tol is None else tol
-    if window is None:
-        window = 4 * s.game.schedule.lcm_period
-    clusters = detect_clusters(trace.final_state, tol)
+    window = 4 * s.game.schedule.lcm_period
+    clusters = detect_clusters(trace.final_state, s.cluster_tol)
     if trace.converged_at is None:
         verdict = "undecided"
     else:
@@ -449,15 +448,7 @@ class _BruteForce:
         self._extend(ctx.t0, ctx.state, ctx.attacker_spent, ctx.defender_spent, [], Fraction(0), found)
         best = max(total for _, total in found)
         winners = [steps for steps, total in found if total == best]
-        steps = self._filter_stepwise(winners)
-        period = self.game.schedule.period(ctx.mover)
-        return Plan(
-            owner=ctx.mover,
-            decision_index=ctx.t0 // period + 1,
-            start_time=ctx.t0,
-            steps=steps,
-            utility=best,
-        )
+        return ctx.plan(self._filter_stepwise(winners), best)
 
 
 def brute_force_equilibrium(ctx: SolveContext, work_bound: int = 1_000_000) -> Plan:

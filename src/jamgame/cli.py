@@ -37,8 +37,8 @@ from .scenario import (
     ScenarioError,
     bundled_names,
     bundled_scenario,
+    dumps_scenario,
     load_scenario,
-    scenario_to_dict,
 )
 
 TRACE_VERSION = 1
@@ -233,18 +233,10 @@ def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...
         converged_at = None if converged_text == "none" else int(converged_text)
         steps = []
         for row in csv.DictReader(fh):
-            attack = _attack_from(
-                {
-                    "strong": row["strong"],
-                    "normal": row["normal"],
-                    "strong_nodes": row["strong_nodes"],
-                    "normal_nodes": row["normal_nodes"],
-                }
-            )
             steps.append(
                 TraceStep(
                     k=int(row["k"]),
-                    attack=attack,
+                    attack=_attack_from(row),
                     defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
                     defense_effective=_edges_parse(row["recover_effective"]),
                     resolved_edges=_edges_parse(row["resolved"]),
@@ -343,7 +335,7 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     trace = run(scenario)
     summary = summarize(trace)
-    (outdir / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    (outdir / "scenario.json").write_text(dumps_scenario(scenario))
     write_trace_csv(trace, outdir / "trace.csv")
     write_plans_csv(trace, outdir / "plans.csv")
     write_plot_csvs(trace, outdir)
@@ -481,7 +473,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     scenario = _load(args.scenario)
     if args.json:
-        print(json.dumps(scenario_to_dict(scenario), indent=2))
+        print(dumps_scenario(scenario), end="")
     else:
         print(f"ok: {scenario.name} (n={scenario.graph.n}, |E|={len(scenario.graph.edges)}, K={scenario.K})")
     return EXIT_OK
@@ -490,10 +482,17 @@ def cmd_validate(args) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--work-bound": dict(type=int, default=None, help="override the configured work bound"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """The scenario argument and those of `_FLAGS` the subcommand reads."""
     parser.add_argument("scenario", help="scenario file path or bundled name")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--work-bound", type=int, default=None, help="override the configured work bound")
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,16 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a scenario and write trace artifacts")
-    _add_common(p_run)
+    _add_common(p_run, "--json", "--work-bound")
     p_run.add_argument("--output", default="jamgame_out", help="artifact directory")
     p_run.set_defaults(handler=cmd_run)
 
     p_analyze = sub.add_parser("analyze", help="print conditions, theta, and cluster bound")
-    _add_common(p_analyze)
+    _add_common(p_analyze, "--json", "--work-bound")
     p_analyze.set_defaults(handler=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of scenario variations")
-    _add_common(p_sweep)
+    _add_common(p_sweep, "--work-bound")
     p_sweep.add_argument("--output", default="jamgame_out", help="artifact directory")
     p_sweep.add_argument(
         "--grid",
@@ -522,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="check a scenario file")
-    _add_common(p_validate)
+    _add_common(p_validate, "--json")
     p_validate.set_defaults(handler=cmd_validate)
     return parser
 

@@ -221,6 +221,11 @@ class SolveContext:
         if not self.game.schedule.decides(self.mover, self.t0):
             raise ValueError(f"time {self.t0} is not a {self.mover} decision time")
 
+    def plan(self, steps, utility: Fraction) -> Plan:
+        """The mover's plan decided here, numbered from 1 by its decision times."""
+        index = self.t0 // self.game.schedule.period(self.mover) + 1
+        return Plan(owner=self.mover, decision_index=index, start_time=self.t0, steps=tuple(steps), utility=utility)
+
 
 def opponent(player: str) -> str:
     return DEFENDER if player == ATTACKER else ATTACKER
@@ -280,11 +285,16 @@ def step_payoff(x_next: State, g_resolved: Graph, w: UtilityWeights) -> Fraction
 
 
 def _full_action_cost(game: Game, player: str) -> Fraction:
-    """Per-step price of the player's maximal action."""
+    """Per-step price of the player's maximal action.
+
+    The defender's is recovering every edge while every edge is normally
+    attacked, which no waste mode prices lower.
+    """
     p = game.energy(player)
     if player == ATTACKER:
         return max(cost for cost, _ in _attack_catalog(game.graph, game.cost_model.mode, p))
-    return p.beta_recover * len(game.graph.edges)
+    edges = game.graph.edges
+    return defense_cost(edges, edges, game.cost_model, p)[0]
 
 
 def _sustainable(spent, per_step, t: int, end: int, budget) -> bool:
@@ -407,11 +417,12 @@ class _Prices:
     """Decision-invariant pricing of one game over one money scale M.
 
     Prices, spends and budget lines are integer numerators over M. The table
-    holds the attack catalog with its prices, the defense catalog, the budget,
-    attack-price, defense-price and sustain memos, and the affordability-
-    filtered option lists. Each memo calls its rule (`budget_at`,
-    `AttackAction.cost`, `defense_cost`, and `_sustainable` on the maximal
-    action's price) once per distinct argument; no rule is restated here.
+    holds the attack catalog with its prices, which `attack_prices` also maps
+    from action to price, the defense catalog, the budget, defense-price and
+    sustain memos, and the affordability-filtered option lists. Attack prices
+    come from `AttackAction.cost` when the catalog is built; each memo calls
+    its rule (`budget_at`, `defense_cost`, and `_sustainable` on the maximal
+    action's price) once per distinct argument. No rule is restated here.
     """
 
     def __init__(self, game: Game, M: int):
@@ -419,10 +430,10 @@ class _Prices:
         self.att_catalog = tuple(
             (_over(c, M), a) for c, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy)
         )
+        self.attack_prices = {a: c for c, a in self.att_catalog}
         self.def_catalog = _defense_catalog(game.graph)
         self._full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
         self._budgets: dict = {}
-        self._attack_prices: dict = {}
         self._defense_prices: dict = {}
         self._sustains: dict = {}
         self._att_options: dict = {}
@@ -441,12 +452,6 @@ class _Prices:
         if hit is None:
             cost, _ = defense_cost(recover, normal, self.game.cost_model, self.game.defender_energy)
             hit = self._defense_prices[key] = _over(cost, self.M)
-        return hit
-
-    def attack_price(self, action: AttackAction) -> int:
-        hit = self._attack_prices.get(action)
-        if hit is None:
-            hit = self._attack_prices[action] = _over(action.cost(self.game.attacker_energy), self.M)
         return hit
 
     def sustain(self, player: str, spent: int, t: int, end: int) -> bool:
@@ -480,7 +485,9 @@ class _Prices:
 class StepCache:
     """Run-scoped memos of one game: step resolution and pricing.
 
-    A state comes in as the numerators of its values over some common
+    Each distinct (strong, normal, recover) triple is resolved against the
+    base graph once, and its resolved graph is stored with that graph's group
+    index. A state comes in as the numerators of its values over some common
     denominator s. The consensus update is linear, so the next state's
     numerators over s*D, where D (`scale`) is the lcm of the weight
     denominators, do not depend on s: `step` caches on (numerators, resolved
@@ -509,16 +516,16 @@ class StepCache:
         (s*D)^2, the resolved graph's group index).
         """
         rkey = (attack.strong, attack.normal, defense.recover)
-        g1 = self._resolved.get(rkey)
-        if g1 is None:
+        resolved = self._resolved.get(rkey)
+        if resolved is None:
             _, g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
-            self._resolved[rkey] = g1
+            resolved = self._resolved[rkey] = (g1, agent_group_index(g1))
+        g1, gi = resolved
         skey = (x, g1.edges)
         hit = self._next.get(skey)
         if hit is None:
             x1 = tuple(_over(v, self.scale) for v in consensus_step(x, g1, self.game.weights))
-            hit = (x1, int(state_difference(x1)), agent_group_index(g1))
-            self._next[skey] = hit
+            hit = self._next[skey] = (x1, int(state_difference(x1)), gi)
         return hit
 
     def prices(self, M: int) -> _Prices:
@@ -545,12 +552,14 @@ class _Solver:
     denominators and H the window length. The one conversion back is
     `Plan.utility = Fraction(total, Q)`.
 
-    Only the window's search memos belong to one decision. Prices, budget
-    lines, the sustain test and the option lists come from the step cache's
-    pricing table for M (`StepCache.prices`), so a run prices each distinct
-    argument once, not once per decision; without a cache the solver starts
-    from a fresh one. A cache built for another game is refused: its steps
-    and prices would be that game's.
+    Only the window's search memos belong to one decision. `_inner_memo`
+    holds the inner model's (value, leading attack) per node; the defender
+    mover's predicted attacker reads its attack there. Prices, budget lines,
+    the sustain test and the option lists come from the step cache's pricing
+    table for M (`StepCache.prices`), so a run prices each distinct argument
+    once, not once per decision; without a cache the solver starts from a
+    fresh one. A cache built for another game is refused: its steps and
+    prices would be that game's.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
@@ -581,9 +590,12 @@ class _Solver:
         prices = cache.prices(self.M)
         self._attacks = prices.attacks
         self._defenses = prices.defenses
-        self._attack_price = prices.attack_price
+        self._attack_prices = prices.attack_prices
         self._defense_price = prices.defense_price
         self._sustain = prices.sustain
+        # Unbound, so the solver holds no cycle through itself and its memos
+        # are freed as soon as its decision returns.
+        self._outer_step = _Solver._outer_attacker if ctx.mover == ATTACKER else _Solver._outer_defender
         self._outer_memo: dict = {}
         self._inner_memo: dict = {}
         self._resp_memo: dict = {}
@@ -602,11 +614,11 @@ class _Solver:
         key = (t, x, sa, sd, end)
         hit = self._inner_memo.get(key)
         if hit is None:
-            hit = self._inner_step(t, x, sa, sd, end)
-            self._inner_memo[key] = hit
+            hit = self._inner_memo[key] = self._inner_step(t, x, sa, sd, end)
         return hit[0]
 
     def _inner_step(self, t, x, sa, sd, end):
+        """(value, leading attack) of the modeled tail [t, end]."""
         want_more = self._sustain(ATTACKER, sa, t, end)
         best = None
         for cost_a, atk in self._attacks(t, sa):
@@ -614,7 +626,7 @@ class _Solver:
             x1, payoff = self._step(t, x, atk, d)
             val = payoff + self.inner_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
-                best = (val, atk, d)
+                best = (val, atk)
         return best
 
     def predicted_defense(self, t, x, sa, sd, end, attack, attack_cost_):
@@ -635,15 +647,6 @@ class _Solver:
         self._resp_memo[key] = result
         return result
 
-    def predicted_attack(self, t, x, sa, sd, end):
-        """Leading attack at t from the self-contained model over [t, end]."""
-        key = (t, x, sa, sd, end)
-        hit = self._inner_memo.get(key)
-        if hit is None:
-            hit = self._inner_step(t, x, sa, sd, end)
-            self._inner_memo[key] = hit
-        return hit[1]
-
     # outer recursion: the mover's own objective over [t, w_end]
 
     def outer(self, t: int, x: Numerators, sa: int, sd: int):
@@ -653,11 +656,7 @@ class _Solver:
         key = (t, x, sa, sd)
         hit = self._outer_memo.get(key)
         if hit is None:
-            if self.ctx.mover == ATTACKER:
-                hit = self._outer_attacker(t, x, sa, sd)
-            else:
-                hit = self._outer_defender(t, x, sa, sd)
-            self._outer_memo[key] = hit
+            hit = self._outer_memo[key] = self._outer_step(self, t, x, sa, sd)
         return hit
 
     def _outer_attacker(self, t, x, sa, sd):
@@ -682,8 +681,10 @@ class _Solver:
         if slot.kind == FIXED:
             atk = slot.action
         else:
-            atk = self.predicted_attack(t, x, sa, sd, slot.objective_end)
-        cost_a = self._attack_price(atk)
+            end = slot.objective_end
+            self.inner_value(t, x, sa, sd, end)
+            atk = self._inner_memo[t, x, sa, sd, end][1]
+        cost_a = self._attack_prices[atk]
         want_more = self._sustain(DEFENDER, sd, t, self.w_end)
         best = None
         for cost_d, d in self._defenses(t, sd, atk.normal):
@@ -703,14 +704,7 @@ class _Solver:
             _, action, succ = self.outer(t, *node)
             steps.append(action)
             node = succ
-        period = ctx.game.schedule.period(ctx.mover)
-        return Plan(
-            owner=ctx.mover,
-            decision_index=ctx.t0 // period + 1,
-            start_time=ctx.t0,
-            steps=tuple(steps),
-            utility=Fraction(total, self.Q),
-        )
+        return ctx.plan(steps, Fraction(total, self.Q))
 
 
 def solve_decision(ctx: SolveContext, cache: StepCache | None = None) -> Plan:

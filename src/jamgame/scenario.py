@@ -65,10 +65,9 @@ class Scenario:
     game: Game = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_state_length(self.initial_state, self.graph.n)
         if not is_connected(self.graph):
             raise ScenarioError("graph", "base graph must be connected")
-        if len(self.initial_state) != self.graph.n:
-            raise ScenarioError("initial_state", f"expected {self.graph.n} entries, got {len(self.initial_state)}")
         try:
             schedule = Schedule(self.T_attacker, self.T_defender, self.h_attacker, self.h_defender)
         except ValueError as exc:
@@ -96,6 +95,12 @@ class Scenario:
     def game_work(self) -> int:
         """Size measure gating the exponential solver: |E| * max horizon."""
         return len(self.graph.edges) * max(self.h_attacker, self.h_defender)
+
+
+def _check_state_length(state, n: int) -> None:
+    """One entry per agent; checked before anything is built per agent."""
+    if len(state) != n:
+        raise ScenarioError("initial_state", f"expected {n} entries, got {len(state)}")
 
 
 def _rational(value: Fraction):
@@ -142,7 +147,7 @@ def _str_field(raw, field: str) -> str:
 def _fraction_field(raw, field: str) -> Fraction:
     try:
         return as_fraction(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ScenarioError(field, str(exc)) from exc
 
 
@@ -199,14 +204,19 @@ def scenario_from_dict(data: dict) -> Scenario:
         state = make_state(state_raw)
     except Exception as exc:
         raise ScenarioError("initial_state", str(exc)) from exc
+    _check_state_length(state, graph.n)
 
     weights_raw = _object(data, "weights")
     kind = weights_raw.get("kind", "uniform")
     try:
         if kind == "uniform":
+            if "by_edge" in weights_raw:
+                raise ScenarioError("weights.by_edge", "not used by uniform weights")
             value = weights_raw.get("value")
             weights = Weights.uniform(graph, as_fraction(value) if value is not None else None)
         elif kind == "matrix":
+            if "value" in weights_raw:
+                raise ScenarioError("weights.value", "not used by matrix weights")
             by_edge = {
                 _parse_edge_key(k, "weights.by_edge"): as_fraction(v)
                 for k, v in weights_raw["by_edge"].items()
@@ -295,8 +305,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    """The scenario as a JSON-ready dict; weights are `uniform` only when every base edge carries one value."""
     values = set(s.weights.by_edge.values())
-    if len(values) == 1:
+    if len(values) == 1 and s.weights.by_edge.keys() == s.graph.edges:
         weights = {"kind": "uniform", "value": _rational(next(iter(values)))}
     else:
         weights = {
@@ -353,10 +364,6 @@ def load_scenario(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError("<file>", f"cannot read {path} as UTF-8 text: {exc}") from exc
     return loads_scenario(text)
-
-
-def save_scenario(s: Scenario, path) -> None:
-    Path(path).write_text(dumps_scenario(s))
 
 
 def bundled_names() -> list[str]:

@@ -12,7 +12,7 @@ from jamgame.energy import EnergyParams
 from jamgame.game import UtilityWeights
 from jamgame.network import Graph
 from jamgame.rolling import run
-from jamgame.scenario import Scenario, bundled_scenario, save_scenario
+from jamgame.scenario import Scenario, bundled_scenario, dumps_scenario
 
 
 def small_scenario(name="small", h=(2, 1), T=(1, 1), K=12, att=("1.5", "1.5", 1, 2)):
@@ -36,7 +36,7 @@ def small_scenario(name="small", h=(2, 1), T=(1, 1), K=12, att=("1.5", "1.5", 1,
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "small.json"
-    save_scenario(small_scenario(), path)
+    path.write_text(dumps_scenario(small_scenario()))
     return path
 
 
@@ -109,7 +109,7 @@ class TestAnalyze:
             name="long-path",
         )
         path = tmp_path / "long.json"
-        save_scenario(s, path)
+        path.write_text(dumps_scenario(s))
         assert main(["analyze", str(path)]) == 3
         assert "work bound" in capsys.readouterr().err
 
@@ -167,7 +167,7 @@ class TestRun:
             name="big",
         )
         path = tmp_path / "big.json"
-        save_scenario(s, path)
+        path.write_text(dumps_scenario(s))
         assert main(["run", str(path), "--output", str(tmp_path / "o")]) == 3
         assert "36" in capsys.readouterr().err
 
@@ -218,6 +218,12 @@ class TestSweep:
         ]) == 0
         rows = list(csv.DictReader((outdir / "sweep.csv").open()))
         assert rows[0]["status"] == "work_bound_exceeded"
+
+    @pytest.mark.parametrize("argv", [["sweep", "case1", "--json"], ["validate", "case1", "--work-bound", "5"]])
+    def test_flag_the_subcommand_does_not_read_is_refused(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--output", str(tmp_path)] if argv[0] == "sweep" else argv)
+        assert e.value.code == 2
 
     def test_unknown_grid_parameter(self, scenario_file, capsys):
         assert main(["sweep", str(scenario_file), "--grid", "bogus=1"]) == 2

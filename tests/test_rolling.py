@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jamgame import game
+from jamgame import game, rolling
 from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
 from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
@@ -223,6 +223,17 @@ class TestRun:
             assert len(run(s).steps) == K
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_group_index_once_per_resolved_graph(self, monkeypatch):
+        # The step cache stores each resolved graph with its group index, so
+        # new states reached through a known resolution do not recount it.
+        calls, caches = [], []
+        real_index, real_cache = game.agent_group_index, rolling.StepCache
+        monkeypatch.setattr(game, "agent_group_index", lambda g: calls.append(g) or real_index(g))
+        monkeypatch.setattr(rolling, "StepCache", lambda g: caches.append(real_cache(g)) or caches[-1])
+        run(bundled_scenario("case1"))
+        (cache,) = caches
+        assert 0 < len(calls) <= len(cache._resolved)
 
     def test_states_helper_includes_initial(self):
         s = scenario(K=5)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import CostModel, EnergyParams
@@ -17,7 +19,6 @@ from jamgame.scenario import (
     dumps_scenario,
     load_scenario,
     loads_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -56,7 +57,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         s = sample(K=7, convergence_window=3)
         path = tmp_path / "s.json"
-        save_scenario(s, path)
+        path.write_text(dumps_scenario(s))
         assert load_scenario(path) == s
 
     def test_nonuniform_weights_survive(self):
@@ -66,6 +67,20 @@ class TestRoundTrip:
 
     def test_dict_form_is_json_ready(self):
         json.dumps(scenario_to_dict(sample()))
+
+    def test_weight_on_some_edges_stays_a_matrix(self):
+        d = scenario_to_dict(bundled_scenario("case1"))
+        d["weights"] = {"kind": "matrix", "by_edge": {"1-2": "1/5"}}
+        s = scenario_from_dict(d)
+        assert scenario_to_dict(s)["weights"] == d["weights"]
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_generated_scenarios_round_trip(self, data):
+        s = data.draw(scenarios())
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+        assert loads_scenario(dumps_scenario(s)) == s
 
 
 class TestValidation:
@@ -133,6 +148,8 @@ class TestValidation:
             ("name", None),
             ("description", [1]),
             ("format_version", True),
+            ("tolerances.convergence_eps", float("inf")),
+            ("tolerances.cluster_tol", float("-inf")),
         ],
     )
     def test_malformed_field_rejected_not_truncated(self, field, value):
@@ -167,6 +184,45 @@ class TestValidation:
         with pytest.raises(ScenarioError) as e:
             scenario_from_dict(d)
         assert e.value.field == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "weights, field",
+        [
+            ({"kind": "uniform", "value": "1/3", "by_edge": {"1-2": "1/5", "2-3": "1/7"}}, "weights.by_edge"),
+            ({"kind": "matrix", "value": "1/4", "by_edge": {"1-2": "1/5", "2-3": "1/7"}}, "weights.value"),
+        ],
+    )
+    def test_weights_key_the_kind_does_not_use_rejected(self, weights, field):
+        d = scenario_to_dict(bundled_scenario("case1"))
+        d["weights"] = weights
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert e.value.field == field
+
+    def test_state_length_checked_before_per_agent_work(self):
+        d = scenario_to_dict(bundled_scenario("case1"))
+        d["graph"]["n"] = 1000
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert e.value.field == "initial_state"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_bundled_scenario_loads_or_is_refused(self, data):
+        d = scenario_to_dict(bundled_scenario(data.draw(st.sampled_from(bundled_names()))))
+        path = data.draw(st.sampled_from(_paths(d)))
+        *parents, last = path
+        target = d
+        for key in parents:
+            target = target[key]
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            del target[last]
+        else:
+            target[last] = data.draw(json_values)
+        try:
+            scenario_from_dict(d)
+        except ScenarioError:
+            pass
 
     @pytest.mark.parametrize(
         "kind, content",
@@ -216,3 +272,80 @@ class TestBundled:
         with pytest.raises(ScenarioError) as e:
             bundled_scenario("nope")
         assert "case1" in str(e.value)
+
+
+# --- generators ------------------------------------------------------------------
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a nested dict/list: sections and leaves alike."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(child, prefix + (key,)))
+    return out
+
+
+# What `loads_scenario` can hand the parser: JSON values, with decimals as Fractions.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.fractions(max_denominator=10**6)
+    | st.text(max_size=8)
+    | st.sampled_from(["1/3", "uniform", "matrix", "node", "free", "1-2", "0/0", "-1"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def positive_fractions(high=5):
+    return st.fractions(min_value=Fraction(1, 60), max_value=high, max_denominator=60)
+
+
+@st.composite
+def scenarios(draw):
+    """Small valid scenarios: uniform or partial-matrix weights, both cost modes, fractional energies."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    tree = [(draw(st.integers(min_value=1, max_value=v - 1)), v) for v in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+    edges = {tuple(sorted(e)) for e in tree + [e for e in extra if e[0] != e[1]]}
+    graph = Graph.from_edges(n, edges)
+    cap = Fraction(1, n)  # a row has at most n-1 edges, so row sums stay below 1
+    weight = st.fractions(min_value=Fraction(1, 40), max_value=cap, max_denominator=40)
+    if draw(st.booleans()):
+        weights = Weights.uniform(graph, draw(weight))
+    else:
+        chosen = draw(st.lists(st.sampled_from(graph.sorted_edges), unique=True))
+        weights = Weights(n, {e: draw(weight) for e in chosen})
+    rho_a, rho_d = draw(positive_fractions()), draw(positive_fractions())
+    beta_normal = draw(positive_fractions())
+    h_a, h_d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return Scenario(
+        graph=graph,
+        initial_state=make_state(draw(st.lists(st.fractions(-5, 5, max_denominator=30), min_size=n, max_size=n))),
+        weights=weights,
+        util=UtilityWeights(a=draw(st.fractions(0, 3, max_denominator=7)), b=draw(positive_fractions(3))),
+        attacker_energy=EnergyParams.attacker(
+            rho_a + draw(st.fractions(0, 3, max_denominator=9)), rho_a, beta_normal,
+            beta_normal + draw(positive_fractions()),
+        ),
+        defender_energy=EnergyParams.defender(
+            rho_d + draw(st.fractions(0, 3, max_denominator=9)), rho_d, draw(positive_fractions())
+        ),
+        h_attacker=h_a,
+        h_defender=h_d,
+        T_attacker=draw(st.integers(1, h_a)),
+        T_defender=draw(st.integers(1, h_d)),
+        cost_model=CostModel(draw(st.sampled_from(["edge", "node"])), draw(st.sampled_from(["charged", "free"]))),
+        K=draw(st.integers(1, 1000)),
+        convergence_eps=draw(positive_fractions(1)),
+        convergence_window=draw(st.integers(1, 50)),
+        cluster_tol=draw(positive_fractions(1)),
+        work_bound_game=draw(st.integers(1, 40)),
+        work_bound_theta=draw(st.integers(1, 20)),
+        name=draw(st.text(max_size=10)),
+        description=draw(st.text(max_size=20)),
+    )
