@@ -3,8 +3,8 @@
 The condition report and the cluster bound are pure functions of the scenario
 configuration; nothing here runs the game. The brute-force solver enumerates
 whole plans and exists to cross-check the backward-induction solver: the two
-share only the opponent information structure and the tie-break rule, never
-the search.
+share only the opponent information structure, the step payoff and the
+tie-break rule, never the search.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import State, consensus_step, detect_clusters, state_difference
+from .dynamics import State, consensus_step, detect_clusters
 from .energy import EDGE_ATTACK, NODE_ATTACK, CostModel, EnergyParams, budget_at, defense_cost
 from .game import (
     ATTACKER,
@@ -27,13 +27,13 @@ from .game import (
     SolveContext,
     opponent,
     opponent_layout,
+    step_payoff,
     tie_break,
 )
 from .network import (
     Edge,
     Graph,
     Partition,
-    agent_group_index,
     apply_actions,
     edge_connectivity,
     is_connected,
@@ -316,7 +316,7 @@ class _BruteForce:
         self.cm = game.cost_model
         self.att_p = game.attacker_energy
         self.def_p = game.defender_energy
-        self.w_end = ctx.t0 + game.schedule.horizon(ctx.mover) - 1
+        self.w_end = ctx.window_end
         self.layout = opponent_layout(ctx)
         self.attacks = _all_attacks(self.g, self.cm, self.att_p)
         self.defenses = _all_defenses(self.g)
@@ -335,10 +335,9 @@ class _BruteForce:
         return out
 
     def _step(self, x: State, attack: AttackAction, defense: DefenseAction):
-        _, resolved = apply_actions(self.g, attack.strong, attack.normal, defense.recover)
+        resolved = apply_actions(self.g, attack.strong, attack.normal, defense.recover)
         x1 = consensus_step(x, resolved, self.game.weights)
-        payoff = self.game.util.a * state_difference(x1) - self.game.util.b * agent_group_index(resolved)
-        return x1, payoff
+        return x1, step_payoff(x1, resolved, self.game.util)
 
     # plain-recursive predictions: attacker leads, defender follows, both modeled
 

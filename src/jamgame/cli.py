@@ -393,7 +393,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _apply_point(scenario: Scenario, point: dict) -> Scenario:
+def _apply_point(scenario: Scenario, point: dict, name: str) -> Scenario:
     updates = {}
     for key, value in point.items():
         if key == "rho_attacker":
@@ -402,8 +402,6 @@ def _apply_point(scenario: Scenario, point: dict) -> Scenario:
             updates["defender_energy"] = dataclasses.replace(scenario.defender_energy, rho=value)
         else:
             updates[key] = value
-    label = ",".join(f"{k}={v}" for k, v in point.items())
-    name = f"{scenario.name}[{label}]" if label else scenario.name
     return dataclasses.replace(scenario, name=name, **updates)
 
 
@@ -432,11 +430,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for point in points:
         label = ",".join(f"{k}={v}" for k, v in point.items())
-        name = f"{base.name}[{label}]" if label else base.name
         row = {c: "" for c in SWEEP_COLUMNS}
-        row["name"] = name
+        row["name"] = f"{base.name}[{label}]" if label else base.name
         try:
-            scenario = _apply_point(base, point)
+            scenario = _apply_point(base, point, row["name"])
             _game_gate(scenario, args.work_bound)
             summary = summarize(run(scenario))
         except (ScenarioError, ValueError) as err:
@@ -446,18 +443,8 @@ def cmd_sweep(args) -> int:
             row["status"] = "work_bound_exceeded"
             row["error"] = str(err)
         else:
-            row.update(
-                status="ok",
-                verdict=summary.verdict,
-                cluster_count=summary.cluster_count,
-                cluster_bound=summary.cluster_bound,
-                steps=summary.steps,
-                converged_at="" if summary.converged_at is None else summary.converged_at,
-                attacker_spent=str(summary.attacker_spent),
-                attacker_wasted=str(summary.attacker_wasted),
-                defender_spent=str(summary.defender_spent),
-                defender_wasted=str(summary.defender_wasted),
-            )
+            fields = _jsonable(summary)
+            row.update({c: fields[c] for c in SWEEP_COLUMNS if c in fields}, status="ok")
         rows.append(row)
 
     table = outdir / "sweep.csv"

@@ -10,7 +10,7 @@ restore an edge, which is the same thing as charging the applied set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import as_fraction
@@ -76,21 +76,6 @@ class CostModel:
             raise ValueError(f"unknown attack mode {self.mode!r}")
         if self.waste not in (WASTE_CHARGED, WASTE_FREE):
             raise ValueError(f"unknown waste mode {self.waste!r}")
-
-
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Cumulative spend (and defender waste) against a player's budget line."""
-
-    params: EnergyParams
-    spent: Fraction = Fraction(0)
-    wasted: Fraction = Fraction(0)
-
-    def charge(self, cost: Fraction, waste: Fraction = Fraction(0)) -> EnergyLedger:
-        return replace(self, spent=self.spent + cost, wasted=self.wasted + waste)
-
-    def within_budget(self, k: int) -> bool:
-        return self.spent <= budget_at(self.params, k)
 
 
 def budget_at(p: EnergyParams, k: int) -> Fraction:

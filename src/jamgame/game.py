@@ -9,9 +9,10 @@ The solver builds one Stackelberg tree over the mover's lookahead window; within
 every step the attacker commits first and the defender responds. Opponent actions
 come from three sources, in priority order:
 
-* a committed opponent block the mover is entitled to know is fixed data (only
-  the block actually being applied counts; the opponent's unapplied plan tail is
-  superseded by its next decision and is predicted instead);
+* the opponent's block in force is fixed data when `Schedule.knows` lets the
+  mover know it (only the block actually being applied counts; the opponent's
+  unapplied plan tail is superseded by its next decision and is predicted
+  instead);
 * everything else is predicted by modeling the opponent's own optimization,
   anchored at the opponent's decision times and clipped to the mover's window;
 * the mover's own actions are free variables optimized over the whole window.
@@ -130,21 +131,13 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class CommittedBlock:
-    """The applied prefix of an opponent plan that the mover is entitled to know."""
-
-    owner: str
-    decision_time: int
-    actions: tuple
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Decision period T and lookahead window length h of both players.
 
     The one home of the cadence rules: each period is at least 1 and at most
-    its horizon, the per-player lookup, when a player re-decides, and the lcm
-    of the periods, at which both do.
+    its horizon, the per-player lookup, when a player re-decides, the lcm of
+    the periods, at which both do, and what a mover may know of the
+    opponent's plan in force.
     """
 
     T_attacker: int
@@ -171,6 +164,25 @@ class Schedule:
     def decides(self, player: str, k: int) -> bool:
         """True iff the player re-decides at step k: a nonnegative multiple of its period."""
         return k >= 0 and k % self.period(player) == 0
+
+    def anchor(self, player: str, t: int) -> int:
+        """The player's latest decision time at or before t."""
+        T = self.period(player)
+        return t // T * T
+
+    def knows(self, mover: str, t: int) -> bool:
+        """True iff the mover, deciding at t, knows the applied block of the opponent's plan in force.
+
+        A plan decided at t itself is made alongside the mover's and is
+        predicted instead. An earlier one is known iff it was decided at a
+        common decision time, or the opponent's whole planning window fits
+        inside the window the mover had in force when the opponent decided.
+        """
+        opp = opponent(mover)
+        t_d = self.anchor(opp, t)
+        if t_d >= t:
+            return False
+        return self.decides(mover, t_d) or t_d + self.horizon(opp) <= self.anchor(mover, t_d) + self.horizon(mover)
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,14 @@ class Game:
 
 @dataclass(frozen=True)
 class SolveContext:
-    """One decision of a game: state, time, mover, spends so far, and knowledge."""
+    """One decision of a game: state, time, mover, spends so far, and knowledge.
+
+    `known` is the applied block of the opponent's plan in force, one action
+    per step of the opponent's period from its latest decision time, or `()`
+    when the mover knows nothing. A block is refused unless `Schedule.knows`
+    allows it, it is one period long and its actions are the opponent's
+    actions in this game.
+    """
 
     game: Game
     state: State
@@ -211,15 +230,35 @@ class SolveContext:
     mover: str
     attacker_spent: Fraction = Fraction(0)
     defender_spent: Fraction = Fraction(0)
-    known_blocks: tuple[CommittedBlock, ...] = ()
+    known: tuple = ()
 
     def __post_init__(self) -> None:
         if self.mover not in (ATTACKER, DEFENDER):
             raise ValueError(f"unknown mover {self.mover!r}")
         if len(self.state) != self.game.graph.n:
             raise ValueError("state length must match agent count")
-        if not self.game.schedule.decides(self.mover, self.t0):
+        sched = self.game.schedule
+        if not sched.decides(self.mover, self.t0):
             raise ValueError(f"time {self.t0} is not a {self.mover} decision time")
+        if not self.known:
+            return
+        opp = opponent(self.mover)
+        if not sched.knows(self.mover, self.t0):
+            raise ValueError(f"the {self.mover} deciding at {self.t0} cannot know the {opp}'s block in force")
+        if len(self.known) != sched.period(opp):
+            raise ValueError(f"a known {opp} block holds {sched.period(opp)} actions, got {len(self.known)}")
+        game = self.game
+        if opp == ATTACKER:
+            catalog = {a for _, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy)}
+        else:
+            catalog = set(_defense_catalog(game.graph))
+        if not catalog.issuperset(self.known):
+            raise ValueError(f"a known {opp} action is not an action of this game")
+
+    @property
+    def window_end(self) -> int:
+        """Last step of the mover's lookahead window."""
+        return self.t0 + self.game.schedule.horizon(self.mover) - 1
 
     def plan(self, steps, utility: Fraction) -> Plan:
         """The mover's plan decided here, numbered from 1 by its decision times."""
@@ -365,22 +404,18 @@ def opponent_layout(ctx: SolveContext) -> dict[int, OpponentSlot]:
     previous one's territory ends.
     """
     sched = ctx.game.schedule
-    w_end = ctx.t0 + sched.horizon(ctx.mover) - 1
+    w_end = ctx.window_end
     opp = opponent(ctx.mover)
     T_o, h_o = sched.period(opp), sched.horizon(opp)
     slots: dict[int, OpponentSlot] = {}
     covered = ctx.t0 - 1
 
-    cur_anchor = (ctx.t0 // T_o) * T_o
+    cur_anchor = sched.anchor(opp, ctx.t0)
     if cur_anchor < ctx.t0:
         block_end = min(cur_anchor + T_o - 1, w_end)
-        known = next(
-            (b for b in ctx.known_blocks if b.owner == opp and b.decision_time == cur_anchor),
-            None,
-        )
         for t in range(ctx.t0, block_end + 1):
-            if known is not None:
-                slots[t] = OpponentSlot(FIXED, action=known.actions[t - cur_anchor])
+            if ctx.known:
+                slots[t] = OpponentSlot(FIXED, action=ctx.known[t - cur_anchor])
             else:
                 slots[t] = OpponentSlot(PREDICTED, objective_end=min(cur_anchor + h_o - 1, w_end))
         covered = block_end
@@ -518,7 +553,7 @@ class StepCache:
         rkey = (attack.strong, attack.normal, defense.recover)
         resolved = self._resolved.get(rkey)
         if resolved is None:
-            _, g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
+            g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
             resolved = self._resolved[rkey] = (g1, agent_group_index(g1))
         g1, gi = resolved
         skey = (x, g1.edges)
@@ -571,7 +606,7 @@ class _Solver:
             raise ValueError("the step cache was built for another game")
         self.cache = cache
         H = game.schedule.horizon(ctx.mover)
-        self.w_end = ctx.t0 + H - 1
+        self.w_end = ctx.window_end
         self.layout = opponent_layout(ctx)
 
         den0 = _common_denominator(ctx.state)

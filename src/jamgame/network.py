@@ -162,12 +162,12 @@ def apply_actions(
     strong: frozenset[Edge],
     normal: frozenset[Edge],
     recover: frozenset[Edge],
-) -> tuple[Graph, Graph]:
+) -> Graph:
     """Resolve one step of attacks and recovery against the base graph g0.
 
-    Returns (attacked, resolved): attacked removes strong and normal edges;
-    resolved additionally restores recover ∩ normal. Strongly attacked or
-    unattacked edges in the recover set restore nothing.
+    Returns the resolved graph: g0 without the strong and normal edges, with
+    recover ∩ normal restored. Strongly attacked or unattacked edges in the
+    recover set restore nothing.
     """
     for name, es in (("strong", strong), ("normal", normal), ("recover", recover)):
         outside = es - g0.edges
@@ -176,6 +176,4 @@ def apply_actions(
     overlap = strong & normal
     if overlap:
         raise ValueError(f"edges attacked both normally and strongly: {sorted(overlap)}")
-    attacked = Graph(g0.n, g0.edges - strong - normal)
-    resolved = Graph(g0.n, attacked.edges | (recover & normal))
-    return attacked, resolved
+    return Graph(g0.n, (g0.edges - strong - normal) | (recover & normal))

@@ -26,7 +26,6 @@ from jamgame.game import (
     ATTACKER,
     DEFENDER,
     AttackAction,
-    CommittedBlock,
     DefenseAction,
     Game,
     Schedule,
@@ -183,11 +182,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             make_state([0, 4, 8]),
             t0=1,
             mover="attacker",
-            known_blocks=(
-                CommittedBlock(
-                    "defender", 0, (DefenseAction.empty(), DefenseAction(frozenset({edge})))
-                ),
-            ),
+            known=(DefenseAction.empty(), DefenseAction(frozenset({edge}))),
         ),
         SolveContext(
             path_game(Schedule(T_attacker=2, T_defender=2, h_attacker=2, h_defender=2), RICH_REGIME),
@@ -202,13 +197,7 @@ def test_solver_matches_exhaustive_search_on_all_small_instances():
             make_state([0, 4, 8]),
             t0=1,
             mover="defender",
-            known_blocks=(
-                CommittedBlock(
-                    "attacker",
-                    0,
-                    (AttackAction.empty(), AttackAction(frozenset(), frozenset({edge}))),
-                ),
-            ),
+            known=(AttackAction.empty(), AttackAction(frozenset(), frozenset({edge}))),
         ),
         SolveContext(
             path_game(Schedule(T_attacker=1, T_defender=3, h_attacker=2, h_defender=3), MID_REGIME),

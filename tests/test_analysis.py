@@ -260,7 +260,7 @@ def make_ctx(mover, h=(1, 1), T=(1, 1), g=PATH3, x=(1, 2, 3), att=("1.5", "1.5",
         mover=mover,
         attacker_spent=Fraction(spent[0]),
         defender_spent=Fraction(spent[1]),
-        known_blocks=tuple(known),
+        known=tuple(known),
     )
 
 

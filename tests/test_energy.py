@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from jamgame.energy import (
     CostModel,
-    EnergyLedger,
     EnergyParams,
     attack_cost,
     budget_at,
@@ -113,38 +112,33 @@ class TestDefenseCost:
             assert 0 <= waste <= cost
 
 
-def feasible_plan(ledger, per_step_costs, k_start):
-    """Charge the costed steps one by one, checking the budget line after each, as a run does."""
+def feasible_plan(spent, per_step_costs, k_start):
+    """Add the costed steps one by one, checking the budget line after each, as a run does."""
     for m, cost in enumerate(per_step_costs):
-        ledger = ledger.charge(cost)
-        if not ledger.within_budget(k_start + m):
+        spent += cost
+        if spent > budget_at(ATT, k_start + m):
             return False
     return True
 
 
 class TestFeasiblePlan:
     def test_zero_cost_plan_always_fits(self):
-        ledger = EnergyLedger(ATT)
-        assert feasible_plan(ledger, [0, 0, 0], 0)
+        assert feasible_plan(0, [0, 0, 0], 0)
 
     def test_first_step_overdraw_rejected(self):
-        ledger = EnergyLedger(ATT)
-        assert not feasible_plan(ledger, [Fraction(2)], 0)
+        assert not feasible_plan(0, [Fraction(2)], 0)
 
     def test_prefix_check_allows_later_supply(self):
-        ledger = EnergyLedger(ATT)
-        assert feasible_plan(ledger, [Fraction(1), Fraction(2)], 0)
+        assert feasible_plan(0, [Fraction(1), Fraction(2)], 0)
 
     def test_mid_plan_overdraw_rejected_despite_recovery(self):
         # Spending 2 at step 0 breaks the line even though the step-1 budget
         # would cover the total.
-        ledger = EnergyLedger(ATT)
-        assert not feasible_plan(ledger, [Fraction(2), Fraction(0)], 0)
+        assert not feasible_plan(0, [Fraction(2), Fraction(0)], 0)
 
     def test_prior_spend_counts(self):
-        ledger = EnergyLedger(ATT, spent=Fraction(3, 2))
-        assert not feasible_plan(ledger, [Fraction(1)], 0)
-        assert feasible_plan(ledger, [Fraction(1)], 1)
+        assert not feasible_plan(Fraction(3, 2), [Fraction(1)], 0)
+        assert feasible_plan(Fraction(3, 2), [Fraction(1)], 1)
 
     @settings(max_examples=100)
     @given(
@@ -153,23 +147,10 @@ class TestFeasiblePlan:
         st.data(),
     )
     def test_monotone_under_cost_reduction(self, costs, k_start, data):
-        ledger = EnergyLedger(ATT)
-        if not feasible_plan(ledger, costs, k_start):
+        if not feasible_plan(0, costs, k_start):
             return
         idx = data.draw(st.integers(0, len(costs) - 1))
         cheaper = list(costs)
         cheaper[idx] = data.draw(st.fractions(min_value=0, max_value=costs[idx], max_denominator=4))
-        assert feasible_plan(ledger, cheaper, k_start)
+        assert feasible_plan(0, cheaper, k_start)
 
-
-class TestLedger:
-    def test_charge_accumulates(self):
-        ledger = EnergyLedger(DEF).charge(Fraction(1, 2), Fraction(1, 2))
-        ledger = ledger.charge(Fraction(1, 2))
-        assert ledger.spent == 1
-        assert ledger.wasted == Fraction(1, 2)
-
-    def test_within_budget(self):
-        ledger = EnergyLedger(DEF, spent=Fraction(1))
-        assert ledger.within_budget(1)
-        assert not ledger.within_budget(0)

@@ -15,7 +15,6 @@ from jamgame.game import (
     FIXED,
     PREDICTED,
     AttackAction,
-    CommittedBlock,
     DefenseAction,
     Game,
     Plan,
@@ -57,7 +56,7 @@ def make_ctx(
     util=UtilityWeights(a=1, b=0),
     attacker_spent=0,
     defender_spent=0,
-    known_blocks=(),
+    known=(),
 ):
     game = Game(
         graph=graph,
@@ -77,7 +76,7 @@ def make_ctx(
         mover=mover,
         attacker_spent=Fraction(attacker_spent),
         defender_spent=Fraction(defender_spent),
-        known_blocks=known_blocks,
+        known=known,
     )
 
 
@@ -246,10 +245,8 @@ class TestOpponentLayout:
 
     def test_staggered_attacker_with_known_block(self):
         # attacker at t=2, window [2,7]; defender committed [0,2] and re-decides at 3 and 6
-        block = CommittedBlock(DEFENDER, 0, (defense(), defense(), defense([(1, 2)])))
-        ctx = make_ctx(
-            t0=2, h_attacker=6, T_attacker=2, h_defender=4, T_defender=3, known_blocks=(block,)
-        )
+        block = (defense(), defense(), defense([(1, 2)]))
+        ctx = make_ctx(t0=2, h_attacker=6, T_attacker=2, h_defender=4, T_defender=3, known=block)
         layout = opponent_layout(ctx)
         assert layout[2].kind == FIXED
         assert layout[2].action == defense([(1, 2)])
@@ -275,10 +272,8 @@ class TestOpponentLayout:
             assert (layout[t].kind, layout[t].objective_end) == (PREDICTED, 6)
 
     def test_opponent_block_covering_whole_window(self):
-        block = CommittedBlock(DEFENDER, 4, tuple(defense() for _ in range(4)))
-        ctx = make_ctx(
-            t0=5, h_attacker=2, T_attacker=1, h_defender=4, T_defender=4, known_blocks=(block,)
-        )
+        block = tuple(defense() for _ in range(4))
+        ctx = make_ctx(t0=5, h_attacker=2, T_attacker=1, h_defender=4, T_defender=4, known=block)
         layout = opponent_layout(ctx)
         assert layout[5].kind == FIXED and layout[6].kind == FIXED
 
@@ -309,13 +304,13 @@ def one_shot_table(ctx):
             cost, _ = defense_cost(d.recover, atk.normal, game.cost_model, game.defender_energy)
             if ctx.defender_spent + cost > budget_at(game.defender_energy, ctx.t0):
                 continue
-            _, resolved = apply_actions(game.graph, atk.strong, atk.normal, d.recover)
+            resolved = apply_actions(game.graph, atk.strong, atk.normal, d.recover)
             x1 = consensus_step(ctx.state, resolved, game.weights)
             responses.append((d, -game.util.a * state_difference(x1)))
         best_def = max(u for _, u in responses)
         cands = [(d, u) for d, u in responses if u == best_def]
         d_star = tie_break(cands, game, DEFENDER, ctx.t0, ctx.t0, ctx.defender_spent)
-        _, resolved = apply_actions(game.graph, atk.strong, atk.normal, d_star.recover)
+        resolved = apply_actions(game.graph, atk.strong, atk.normal, d_star.recover)
         x1 = consensus_step(ctx.state, resolved, game.weights)
         rows[atk] = (d_star, game.util.a * state_difference(x1))
     return rows
@@ -377,7 +372,7 @@ class TestSolveTwoStep:
         # defender committed to recovery at t=1; a normal attack then goes unpunished
         att = EnergyParams.attacker(kappa=2, rho=2, beta_normal=1, beta_strong=2)
         dfn = EnergyParams.defender(kappa=1, rho=1, beta_recover=1)
-        block = CommittedBlock(DEFENDER, 0, (defense(), defense()))
+        block = (defense(), defense())
         ctx = make_ctx(
             graph=EDGE1,
             state=(0, 1),
@@ -388,7 +383,7 @@ class TestSolveTwoStep:
             T_defender=2,
             attacker=att,
             defender=dfn,
-            known_blocks=(block,),
+            known=block,
         )
         plan = solve_decision(ctx)
         # against a fixed empty recovery, normal and strong both disconnect; canonical order wins
@@ -476,6 +471,41 @@ class TestSharedPricing:
         with pytest.raises(ValueError, match="another game"):
             solve_decision(reweighted, cache)
         assert solve_decision(reweighted, StepCache(reweighted.game)) == solve_decision(reweighted)
+
+
+CASE1_ATT = EnergyParams.attacker(kappa="3/2", rho="3/2", beta_normal=1, beta_strong=2)
+CASE1_DEF = EnergyParams.defender(kappa="1/2", rho="1/2", beta_recover=1)
+
+
+class TestKnownBlock:
+    """A known block is checked when its context is built, not deep in the solver."""
+
+    def node_mode_defender_ctx(self, known):
+        # case1's path and energies in node mode; the attacker's block from 0 is in force at 1
+        return make_ctx(
+            t0=1, mover=DEFENDER, T_attacker=2, h_attacker=2, attacker=CASE1_ATT, defender=CASE1_DEF,
+            cost_model=CostModel(mode="node"), known=known,
+        )
+
+    def test_action_outside_the_opponents_catalog_is_refused(self):
+        node_attack = next(a for _, a in _attack_catalog(PATH3, "node", CASE1_ATT) if a.strong_nodes == {2})
+        assert solve_decision(self.node_mode_defender_ctx((attack(), node_attack))).owner == DEFENDER
+        with pytest.raises(ValueError, match="not an action of this game"):
+            self.node_mode_defender_ctx((attack(), attack(normal=[(1, 2)])))
+        with pytest.raises(ValueError, match="not an action of this game"):
+            make_ctx(t0=1, T_defender=2, h_defender=2, known=(defense(), defense([(1, 3)])))
+
+    def test_block_not_one_opponent_period_long_is_refused(self):
+        with pytest.raises(ValueError, match="holds 2 actions, got 1"):
+            make_ctx(t0=1, T_defender=2, h_defender=2, known=(defense(),))
+
+    def test_block_the_schedule_does_not_reveal_is_refused(self):
+        # fig1's cadence: the attacker's plan from 2 runs to 7, past the
+        # defender's window [0, 3], so the defender deciding at 3 cannot know it
+        fig1 = dict(T_attacker=2, h_attacker=6, T_defender=3, h_defender=4)
+        assert opponent_layout(make_ctx(t0=3, mover=DEFENDER, **fig1))[3].kind == PREDICTED
+        with pytest.raises(ValueError, match="cannot know"):
+            make_ctx(t0=3, mover=DEFENDER, known=(attack(), attack()), **fig1)
 
 
 class TestGame:

@@ -91,3 +91,16 @@ def test_bundled_analyze_report_is_byte_identical(name):
     with contextlib.redirect_stdout(out):
         assert main(["analyze", name, "--json"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_GOLDEN[name]
+
+
+SWEEP_GOLDEN = "b0f3128b193afc84e401f6a0daa1682488116cf19c048659d9c709ef9d00bbe1"
+
+
+def test_sweep_table_is_byte_identical(tmp_path):
+    # 18 points on case1: 12 run to the end and 6 are refused by the schedule
+    # check (T_defender above h_defender).
+    argv = ["sweep", "case1", "--output", str(tmp_path),
+            "--grid", "h_attacker=1,2,3", "--grid", "T_defender=1,2,3", "--grid", "rho_attacker=3/2,1/4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN

@@ -1,4 +1,4 @@
-"""Tests for decision scheduling, the knowledge rules, and trace execution."""
+"""Tests for decision scheduling, the information rule, and trace execution."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +10,7 @@ from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
 from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph, apply_actions
-from jamgame.rolling import Trace, knowledge_for, run
+from jamgame.rolling import Trace, run
 from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -92,41 +92,71 @@ class TestDecisionTimes:
         assert not FIG1.decides(DEFENDER, -3)
 
 
-class TestKnowledgeFor:
+class TestKnows:
     def test_common_time_plans_are_mutually_known(self):
-        d_plan = plan(DEFENDER, 0, [defense() for _ in range(4)])
-        known_to_attacker = knowledge_for(ATTACKER, 2, d_plan, FIG1)
-        assert len(known_to_attacker) == 1
-        block = known_to_attacker[0]
-        assert block.owner == DEFENDER
-        assert block.decision_time == 0
-        # only the applied prefix (one period long) is knowable
-        assert len(block.actions) == FIG1.T_defender
+        # the defender decided at 0 alongside the attacker; at 2 that block is in force
+        assert FIG1.anchor(DEFENDER, 2) == 0
+        assert FIG1.knows(ATTACKER, 2)
 
     def test_longer_horizon_player_reconstructs_covered_decision(self):
         # defender decides at 3 with window [3,6]; the attacker's window from its
         # latest decision at 2 is [2,7], which covers it
-        d_plan = plan(DEFENDER, 3, [defense() for _ in range(4)])
-        known = knowledge_for(ATTACKER, 4, d_plan, FIG1)
-        assert len(known) == 1
-        assert known[0].decision_time == 3
+        assert FIG1.anchor(DEFENDER, 4) == 3
+        assert FIG1.knows(ATTACKER, 4)
 
     def test_shorter_horizon_player_learns_nothing_off_schedule(self):
-        a_plan = plan(ATTACKER, 2, [attack() for _ in range(6)])
-        assert knowledge_for(DEFENDER, 3, a_plan, FIG1) == ()
+        # the attacker's plan from 2 runs to 7, past the defender's window [0,3]
+        assert FIG1.anchor(ATTACKER, 3) == 2
+        assert not FIG1.knows(DEFENDER, 3)
 
-    def test_own_plans_and_future_plans_excluded(self):
-        a_plan = plan(ATTACKER, 2, [attack() for _ in range(6)])
-        d_future = plan(DEFENDER, 6, [defense() for _ in range(4)])
-        assert knowledge_for(ATTACKER, 2, a_plan, FIG1) == ()
-        assert knowledge_for(ATTACKER, 2, d_future, FIG1) == ()
+    def test_anchor_is_the_latest_decision_at_or_before(self):
+        assert [FIG1.anchor(DEFENDER, t) for t in range(8)] == [0, 0, 0, 3, 3, 3, 6, 6]
+        assert [FIG1.anchor(ATTACKER, t) for t in range(8)] == [0, 0, 2, 2, 4, 4, 6, 6]
 
     def test_plan_decided_alongside_the_mover_is_not_known(self):
         # at the common time 6 the attacker decides first; the defender deciding
         # at 6 must predict that plan, not read it
-        a_now = plan(ATTACKER, 6, [attack() for _ in range(6)])
-        assert knowledge_for(DEFENDER, 6, a_now, FIG1) == ()
-        assert knowledge_for(ATTACKER, 0, None, FIG1) == ()
+        assert not FIG1.knows(DEFENDER, 6)
+        assert not FIG1.knows(ATTACKER, 6)
+        assert not FIG1.knows(ATTACKER, 0)
+
+
+def reference_knows(mover, k, opponent_plan, sched):
+    """The information rule as two functions stated it before `Schedule.knows`.
+
+    The first half chose the block a run handed the mover; the second is the
+    layout's search, which read a block only if the opponent decided it at its
+    latest decision time before k.
+    """
+    if opponent_plan is None or opponent_plan.owner == mover or opponent_plan.start_time >= k:
+        return False
+    t_d = opponent_plan.start_time
+    if not (sched.decides(ATTACKER, t_d) and sched.decides(DEFENDER, t_d)):
+        t_m = (t_d // sched.period(mover)) * sched.period(mover)
+        if t_d + len(opponent_plan.steps) - 1 > t_m + sched.horizon(mover) - 1:
+            return False
+    T_o = sched.period(opponent_plan.owner)
+    cur_anchor = (k // T_o) * T_o
+    return cur_anchor < k and t_d == cur_anchor
+
+
+def test_knows_matches_the_reference_rule_on_every_small_schedule():
+    cadences = [(T, h) for h in range(1, 7) for T in range(1, h + 1)]
+    schedules = decisions = 0
+    for T_a, h_a in cadences:
+        for T_d, h_d in cadences:
+            sched = Schedule(T_attacker=T_a, T_defender=T_d, h_attacker=h_a, h_defender=h_d)
+            schedules += 1
+            current = {}  # the plans in force, as a run holds them when each mover decides
+            for k in range(60):
+                for mover in (ATTACKER, DEFENDER):
+                    if not sched.decides(mover, k):
+                        continue
+                    expected = reference_knows(mover, k, current.get(game.opponent(mover)), sched)
+                    assert sched.knows(mover, k) == expected, (sched, mover, k)
+                    current[mover] = plan(mover, k, [None] * sched.horizon(mover))
+                    decisions += 1
+    assert (schedules, decisions) == (441, 28098)
 
 
 def unattacked_reference(s: Scenario, length: int):
@@ -180,10 +210,22 @@ class TestRun:
         trace = run(s)
         for step in trace.steps:
             assert step.defense_effective == step.defense_planned.recover & step.attack.normal
-            _, resolved = apply_actions(
-                s.graph, step.attack.strong, step.attack.normal, step.defense_planned.recover
-            )
+            resolved = apply_actions(s.graph, step.attack.strong, step.attack.normal, step.defense_planned.recover)
             assert step.resolved_edges == resolved.edges
+
+    def test_overdrawn_committed_action_is_refused(self, monkeypatch):
+        # The solver never overdraws, so a plan that does is a fault, stopped where it is applied.
+        real = rolling.solve_decision
+
+        def overdrawing(ctx, cache):
+            plan = real(ctx, cache)
+            if ctx.mover == DEFENDER:
+                return plan
+            return replace(plan, steps=(attack(strong=PATH3.edges),) * len(plan.steps))
+
+        monkeypatch.setattr(rolling, "solve_decision", overdrawing)
+        with pytest.raises(RuntimeError, match="committed attacker action exceeds budget at k=0: spent 4, budget 3/2"):
+            run(scenario())
 
     def test_deterministic(self):
         s = scenario(h_attacker=2, h_defender=2, T_attacker=1, T_defender=2, K=10, state=(0, 5, 9))
