@@ -253,7 +253,7 @@ def consensus_verdict(trace: Trace) -> ConsensusVerdict:
         union_connected = True
         for start in range(len(steps) - window + 1):
             edges = frozenset().union(*(st.resolved_edges for st in steps[start : start + window]))
-            if not is_connected(Graph(s.graph.n, edges)):
+            if not is_connected(Graph(s.game.graph.n, edges)):
                 union_connected = False
                 break
     return ConsensusVerdict(verdict=verdict, clusters=clusters, union_connected=union_connected)
@@ -343,7 +343,7 @@ class _BruteForce:
 
     def _pick(self, cands, player, t, end, spent):
         top = max(v for _, v in cands)
-        return tie_break([(a, top) for a, v in cands if v == top], self.game, player, t, end, spent)
+        return tie_break([a for a, v in cands if v == top], self.game, player, t, end, spent)
 
     def _predict_defense(self, t, x, sa, sd, end, attack, cost_a):
         cands = []
@@ -423,10 +423,7 @@ class _BruteForce:
         for i, t in enumerate(range(self.ctx.t0, self.w_end + 1)):
             spent = sa if mover == ATTACKER else sd
             options = {p[i] for p in plans}
-            chosen = tie_break(
-                [(a, Fraction(0)) for a in sorted(options, key=lambda a: a.sort_key)],
-                self.game, mover, t, self.w_end, spent,
-            )
+            chosen = tie_break(sorted(options, key=lambda a: a.sort_key), self.game, mover, t, self.w_end, spent)
             plans = [p for p in plans if p[i] == chosen]
             if mover == ATTACKER:
                 cost_m = next(c for a, c in self.attacks if a == chosen)

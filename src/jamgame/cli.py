@@ -39,6 +39,8 @@ from .scenario import (
     bundled_scenario,
     dumps_scenario,
     load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 
 TRACE_VERSION = 1
@@ -46,7 +48,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_WORK_BOUND = 3
 
-GRID_PARAMS = ("h_attacker", "h_defender", "T_attacker", "T_defender", "rho_attacker", "rho_defender")
+# Each sweepable parameter and the (section, key) it sets in a scenario file.
+GRID_PARAMS = {
+    "h_attacker": ("horizons", "attacker"),
+    "h_defender": ("horizons", "defender"),
+    "T_attacker": ("periods", "attacker"),
+    "T_defender": ("periods", "defender"),
+    "rho_attacker": ("attacker_energy", "rho"),
+    "rho_defender": ("defender_energy", "rho"),
+}
 
 
 # --- run summaries -------------------------------------------------------------
@@ -184,7 +194,7 @@ TRACE_COLUMNS = [
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """Exact trace table; states and energies are fraction strings."""
-    n = trace.scenario.graph.n
+    n = trace.scenario.game.graph.n
     columns = TRACE_COLUMNS + [f"x{i}" for i in range(1, n + 1)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# trace_version {TRACE_VERSION}\n")
@@ -240,7 +250,7 @@ def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...
                     defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
                     defense_effective=_edges_parse(row["recover_effective"]),
                     resolved_edges=_edges_parse(row["resolved"]),
-                    state=make_state([row[f"x{i}"] for i in range(1, scenario.graph.n + 1)]),
+                    state=make_state([row[f"x{i}"] for i in range(1, scenario.game.graph.n + 1)]),
                     attacker_spent=Fraction(row["attacker_spent"]),
                     attacker_wasted=Fraction(row["attacker_wasted"]),
                     defender_spent=Fraction(row["defender_spent"]),
@@ -281,8 +291,8 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
 
 def write_plot_csvs(trace: Trace, outdir: Path) -> None:
     """Float tables for plotting: states over time and energy ledgers over time."""
-    s = trace.scenario
-    n = s.graph.n
+    game = trace.scenario.game
+    n = game.graph.n
     with open(outdir / "plot_states.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"x{i}" for i in range(1, n + 1)])
@@ -298,10 +308,10 @@ def write_plot_csvs(trace: Trace, outdir: Path) -> None:
             writer.writerow(
                 [
                     st.k,
-                    float(budget_at(s.attacker_energy, st.k)),
+                    float(budget_at(game.attacker_energy, st.k)),
                     float(st.attacker_spent),
                     float(st.attacker_wasted),
-                    float(budget_at(s.defender_energy, st.k)),
+                    float(budget_at(game.defender_energy, st.k)),
                     float(st.defender_spent),
                     float(st.defender_wasted),
                 ]
@@ -320,6 +330,16 @@ def _load(arg: str) -> Scenario:
     raise ScenarioError("scenario", f"{arg!r} is neither a file nor a bundled name {bundled_names()}")
 
 
+def _output_dir(raw: str) -> Path:
+    """The artifact directory, created before any run; a path that cannot be one is refused."""
+    outdir = Path(raw)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError("output", f"cannot create directory {raw!r}: {exc}") from exc
+    return outdir
+
+
 def _game_gate(scenario: Scenario, override: int | None) -> None:
     bound = scenario.work_bound_game if override is None else override
     if scenario.game_work > bound:
@@ -331,8 +351,7 @@ def _game_gate(scenario: Scenario, override: int | None) -> None:
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
     _game_gate(scenario, args.work_bound)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     trace = run(scenario)
     summary = summarize(trace)
     (outdir / "scenario.json").write_text(dumps_scenario(scenario))
@@ -353,11 +372,12 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     scenario = _load(args.scenario)
-    mode = scenario.cost_model.mode
+    game = scenario.game
+    mode = game.cost_model.mode
     bound = scenario.work_bound_theta if args.work_bound is None else args.work_bound
-    report = check_conditions(scenario.game)
-    theta = theta_vector(scenario.graph, mode, work_bound=bound)
-    cluster_bound = cluster_upper_bound(scenario.game, theta=theta)
+    report = check_conditions(game)
+    theta = theta_vector(game.graph, mode, work_bound=bound)
+    cluster_bound = cluster_upper_bound(game, theta=theta)
     if args.json:
         print(
             json.dumps(
@@ -393,50 +413,47 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _apply_point(scenario: Scenario, point: dict, name: str) -> Scenario:
-    updates = {}
+def _apply_point(base: dict, point: dict, name: str) -> Scenario:
+    """The base scenario's dict with the point's values, loaded as a file is."""
+    data = {**base, "name": name}
     for key, value in point.items():
-        if key == "rho_attacker":
-            updates["attacker_energy"] = dataclasses.replace(scenario.attacker_energy, rho=value)
-        elif key == "rho_defender":
-            updates["defender_energy"] = dataclasses.replace(scenario.defender_energy, rho=value)
-        else:
-            updates[key] = value
-    return dataclasses.replace(scenario, name=name, **updates)
+        section, field = GRID_PARAMS[key]
+        data[section] = {**data[section], field: value}
+    return scenario_from_dict(data)
 
 
 def _parse_grid(raw_axes: list[str]) -> list[dict]:
-    axes = []
+    axes = {}
     for raw_axis in raw_axes:
         name, _, raw = raw_axis.partition("=")
         if name not in GRID_PARAMS:
-            raise ScenarioError("grid", f"unknown grid parameter {name!r}; choose from {GRID_PARAMS}")
+            raise ScenarioError("grid", f"unknown grid parameter {name!r}; choose from {tuple(GRID_PARAMS)}")
+        if name in axes:
+            raise ScenarioError("grid", f"grid parameter {name!r} is given twice; list all its values in one axis")
         if not raw:
             raise ScenarioError("grid", f"grid axis {raw_axis!r} needs comma-separated values")
         parse = as_fraction if name.startswith("rho_") else int
         try:
-            values = [parse(v) for v in raw.split(",")]
+            axes[name] = [parse(v) for v in raw.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError("grid", f"bad value in grid axis {raw_axis!r}: {exc}") from exc
-        axes.append([(name, v) for v in values])
-    return [dict(combo) for combo in itertools.product(*axes)] if axes else [{}]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def cmd_sweep(args) -> int:
-    base = _load(args.scenario)
+    base = scenario_to_dict(_load(args.scenario))
     points = _parse_grid(args.grid)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     rows = []
     for point in points:
         label = ",".join(f"{k}={v}" for k, v in point.items())
         row = {c: "" for c in SWEEP_COLUMNS}
-        row["name"] = f"{base.name}[{label}]" if label else base.name
+        row["name"] = f"{base['name']}[{label}]" if label else base["name"]
         try:
             scenario = _apply_point(base, point, row["name"])
             _game_gate(scenario, args.work_bound)
             summary = summarize(run(scenario))
-        except (ScenarioError, ValueError) as err:
+        except ScenarioError as err:
             row["status"] = "validation_error"
             row["error"] = str(err)
         except WorkBoundExceeded as err:
@@ -462,7 +479,8 @@ def cmd_validate(args) -> int:
     if args.json:
         print(dumps_scenario(scenario), end="")
     else:
-        print(f"ok: {scenario.name} (n={scenario.graph.n}, |E|={len(scenario.graph.edges)}, K={scenario.K})")
+        graph = scenario.game.graph
+        print(f"ok: {scenario.name} (n={graph.n}, |E|={len(graph.edges)}, K={scenario.K})")
     return EXIT_OK
 
 

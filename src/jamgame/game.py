@@ -361,7 +361,7 @@ def _prefers(candidate, incumbent, want_more: bool) -> bool:
 
 
 def tie_break(candidates, game: Game, player: str, step_time: int, window_end: int, spent: Fraction):
-    """Pick one of the player's equal-utility candidates at step_time, having spent `spent`.
+    """Pick one of the player's equal-utility candidate actions at step_time, having spent `spent`.
 
     A player that can sustain its maximal action through window_end prefers
     acting on more items; otherwise on fewer. Residual ties go to the
@@ -369,12 +369,9 @@ def tie_break(candidates, game: Game, player: str, step_time: int, window_end: i
     """
     if not candidates:
         raise ValueError("tie_break needs at least one candidate")
-    utilities = {u for _, u in candidates}
-    if len(utilities) > 1:
-        raise ValueError("tie_break candidates must share one utility value")
     want_more = can_sustain_full_action(game, player, spent, step_time, window_end)
-    best = candidates[0][0]
-    for action, _ in candidates[1:]:
+    best = candidates[0]
+    for action in candidates[1:]:
         if _prefers(action, best, want_more):
             best = action
     return best

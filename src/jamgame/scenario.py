@@ -11,7 +11,6 @@ exactly, as 1/10, not as the nearest binary float.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,17 +42,15 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    graph: Graph
+    """One run: its `Game` plus what the run adds to it.
+
+    The run adds the initial state, the run length K, the convergence and
+    cluster tolerances, the work bounds and the labels. `scenario_from_dict`
+    builds the `Game`; a Scenario checks only what a run needs of it.
+    """
+
+    game: Game
     initial_state: State
-    weights: Weights
-    util: UtilityWeights
-    attacker_energy: EnergyParams
-    defender_energy: EnergyParams
-    h_attacker: int
-    h_defender: int
-    T_attacker: int
-    T_defender: int
-    cost_model: CostModel = CostModel()
     K: int = DEFAULT_K
     convergence_eps: Fraction = DEFAULT_CONVERGENCE_EPS
     convergence_window: int = DEFAULT_CONVERGENCE_WINDOW
@@ -62,24 +59,11 @@ class Scenario:
     work_bound_theta: int = DEFAULT_WORK_BOUND_THETA
     name: str = ""
     description: str = ""
-    game: Game = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_state_length(self.initial_state, self.graph.n)
-        if not is_connected(self.graph):
+        _check_state_length(self.initial_state, self.game.graph.n)
+        if not is_connected(self.game.graph):
             raise ScenarioError("graph", "base graph must be connected")
-        try:
-            schedule = Schedule(self.T_attacker, self.T_defender, self.h_attacker, self.h_defender)
-        except ValueError as exc:
-            raise ScenarioError("periods", str(exc)) from exc
-        try:
-            game = Game(
-                self.graph, self.weights, self.util, schedule,
-                self.attacker_energy, self.defender_energy, self.cost_model,
-            )
-        except ValueError as exc:
-            raise ScenarioError("weights", str(exc)) from exc
-        object.__setattr__(self, "game", game)
         if self.K < 1:
             raise ScenarioError("K", "run length must be at least 1")
         if self.convergence_eps <= 0:
@@ -94,7 +78,18 @@ class Scenario:
     @property
     def game_work(self) -> int:
         """Size measure gating the exponential solver: |E| * max horizon."""
-        return len(self.graph.edges) * max(self.h_attacker, self.h_defender)
+        sched = self.game.schedule
+        return len(self.game.graph.edges) * max(sched.h_attacker, sched.h_defender)
+
+    @property
+    def attacker_energy(self) -> EnergyParams:
+        """`game.attacker_energy`; kept only because the benchmark's run checks (perfbench/checks.py) read it here."""
+        return self.game.attacker_energy
+
+    @property
+    def defender_energy(self) -> EnergyParams:
+        """`game.defender_energy`; kept only because the benchmark's run checks (perfbench/checks.py) read it here."""
+        return self.game.defender_energy
 
 
 def _check_state_length(state, n: int) -> None:
@@ -275,18 +270,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     tol_raw = _object(data, "tolerances")
     bounds_raw = _object(data, "work_bounds")
 
+    try:
+        schedule = Schedule(
+            cadence["periods", "attacker"], cadence["periods", "defender"],
+            cadence["horizons", "attacker"], cadence["horizons", "defender"],
+        )
+    except ValueError as exc:
+        raise ScenarioError("periods", str(exc)) from exc
+    try:
+        game = Game(graph, weights, util, schedule, attacker, defender, CostModel(mode=mode, waste=waste))
+    except ValueError as exc:
+        raise ScenarioError("weights", str(exc)) from exc
+
     return Scenario(
-        graph=graph,
+        game=game,
         initial_state=state,
-        weights=weights,
-        util=util,
-        attacker_energy=attacker,
-        defender_energy=defender,
-        h_attacker=cadence["horizons", "attacker"],
-        h_defender=cadence["horizons", "defender"],
-        T_attacker=cadence["periods", "attacker"],
-        T_defender=cadence["periods", "defender"],
-        cost_model=CostModel(mode=mode, waste=waste),
         K=_int_field(data.get("K", DEFAULT_K), "K"),
         convergence_eps=_fraction_field(
             tol_raw.get("convergence_eps", DEFAULT_CONVERGENCE_EPS), "tolerances.convergence_eps"
@@ -306,36 +304,38 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """The scenario as a JSON-ready dict; weights are `uniform` only when every base edge carries one value."""
-    values = set(s.weights.by_edge.values())
-    if len(values) == 1 and s.weights.by_edge.keys() == s.graph.edges:
+    g = s.game
+    sched = g.schedule
+    values = set(g.weights.by_edge.values())
+    if len(values) == 1 and g.weights.by_edge.keys() == g.graph.edges:
         weights = {"kind": "uniform", "value": _rational(next(iter(values)))}
     else:
         weights = {
             "kind": "matrix",
-            "by_edge": {_edge_key(e): _rational(v) for e, v in sorted(s.weights.by_edge.items())},
+            "by_edge": {_edge_key(e): _rational(v) for e, v in sorted(g.weights.by_edge.items())},
         }
     return {
         "format_version": FORMAT_VERSION,
         "name": s.name,
         "description": s.description,
-        "graph": {"n": s.graph.n, "edges": [list(e) for e in s.graph.sorted_edges]},
+        "graph": {"n": g.graph.n, "edges": [list(e) for e in g.graph.sorted_edges]},
         "initial_state": [_rational(x) for x in s.initial_state],
         "weights": weights,
-        "utility": {"a": _rational(s.util.a), "b": _rational(s.util.b)},
+        "utility": {"a": _rational(g.util.a), "b": _rational(g.util.b)},
         "attacker_energy": {
-            "kappa": _rational(s.attacker_energy.kappa),
-            "rho": _rational(s.attacker_energy.rho),
-            "beta_normal": _rational(s.attacker_energy.beta_normal),
-            "beta_strong": _rational(s.attacker_energy.beta_strong),
+            "kappa": _rational(g.attacker_energy.kappa),
+            "rho": _rational(g.attacker_energy.rho),
+            "beta_normal": _rational(g.attacker_energy.beta_normal),
+            "beta_strong": _rational(g.attacker_energy.beta_strong),
         },
         "defender_energy": {
-            "kappa": _rational(s.defender_energy.kappa),
-            "rho": _rational(s.defender_energy.rho),
-            "beta_recover": _rational(s.defender_energy.beta_recover),
+            "kappa": _rational(g.defender_energy.kappa),
+            "rho": _rational(g.defender_energy.rho),
+            "beta_recover": _rational(g.defender_energy.beta_recover),
         },
-        "horizons": {"attacker": s.h_attacker, "defender": s.h_defender},
-        "periods": {"attacker": s.T_attacker, "defender": s.T_defender},
-        "cost_model": {"mode": s.cost_model.mode, "waste": s.cost_model.waste},
+        "horizons": {"attacker": sched.h_attacker, "defender": sched.h_defender},
+        "periods": {"attacker": sched.T_attacker, "defender": sched.T_defender},
+        "cost_model": {"mode": g.cost_model.mode, "waste": g.cost_model.waste},
         "K": s.K,
         "tolerances": {
             "convergence_eps": _rational(s.convergence_eps),

@@ -285,20 +285,18 @@ def small_scenarios(draw):
     waste = draw(st.sampled_from(["charged", "free"]))
     mode = draw(st.sampled_from(["edge", "node"]))
     b = draw(st.sampled_from([0, 1]))
+    game = Game(
+        g,
+        Weights.uniform(g),
+        UtilityWeights(a=1, b=b),
+        Schedule(T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn),
+        EnergyParams(kappa=att_line, rho=att_line, beta_normal=1, beta_strong=2),
+        EnergyParams(kappa=dfn_line, rho=dfn_line, beta_recover=1),
+        CostModel(mode=mode, waste=waste),
+    )
     return Scenario(
-        graph=g,
+        game=game,
         initial_state=x,
-        weights=Weights.uniform(g),
-        util=UtilityWeights(a=1, b=b),
-        attacker_energy=EnergyParams(
-            kappa=att_line, rho=att_line, beta_normal=1, beta_strong=2
-        ),
-        defender_energy=EnergyParams(kappa=dfn_line, rho=dfn_line, beta_recover=1),
-        h_attacker=h_att,
-        h_defender=h_dfn,
-        T_attacker=t_att,
-        T_defender=t_dfn,
-        cost_model=CostModel(mode=mode, waste=waste),
         K=draw(st.integers(min_value=2, max_value=6)),
         convergence_window=2,
     )
@@ -333,8 +331,8 @@ def test_invariant_suites_hold_on_generated_cases():
         trace = run(s)
         prev_att = prev_dfn = Fraction(0)
         for step in trace.steps:
-            assert step.attacker_spent <= budget_at(s.attacker_energy, step.k)
-            assert step.defender_spent <= budget_at(s.defender_energy, step.k)
+            assert step.attacker_spent <= budget_at(s.game.attacker_energy, step.k)
+            assert step.defender_spent <= budget_at(s.game.defender_energy, step.k)
             assert prev_att <= step.attacker_spent
             assert prev_dfn <= step.defender_spent
             assert 0 <= step.attacker_wasted <= step.attacker_spent
@@ -396,7 +394,7 @@ def test_invariant_suites_hold_on_generated_cases():
             assert step.defense_effective <= step.defense_planned.recover
             assert step.defense_effective <= step.attack.normal
             expected = (
-                s.graph.edges - step.attack.strong - step.attack.normal
+                s.game.graph.edges - step.attack.strong - step.attack.normal
             ) | step.defense_effective
             assert step.resolved_edges == expected
 
@@ -410,28 +408,23 @@ def test_invariant_suites_hold_on_generated_cases():
 def test_overwhelming_attacker_isolates_every_agent():
     # Tolerance: exact verdict, exact group count, exactly zero effective
     # recoveries, on both shapes.
-    diamond_scenario = Scenario(
-        graph=DIAMOND,
-        initial_state=make_state([1, 2, 3, 4]),
-        weights=Weights.uniform(DIAMOND),
-        util=UtilityWeights(),
-        attacker_energy=EnergyParams(kappa=8, rho=8, beta_normal=1, beta_strong=2),
-        defender_energy=EnergyParams(
-            kappa=Fraction(1, 2), rho=Fraction(1, 2), beta_recover=1
-        ),
-        h_attacker=1,
-        h_defender=1,
-        T_attacker=1,
-        T_defender=1,
-        K=60,
+    diamond_game = Game(
+        DIAMOND,
+        Weights.uniform(DIAMOND),
+        UtilityWeights(),
+        Schedule(T_attacker=1, T_defender=1, h_attacker=1, h_defender=1),
+        EnergyParams(kappa=8, rho=8, beta_normal=1, beta_strong=2),
+        EnergyParams(kappa=Fraction(1, 2), rho=Fraction(1, 2), beta_recover=1),
     )
+    diamond_scenario = Scenario(diamond_game, make_state([1, 2, 3, 4]), K=60)
     for s in (bundled_scenario("prop3_regime"), diamond_scenario):
-        rate = s.attacker_energy.rho / s.attacker_energy.beta_strong
-        assert rate >= len(s.graph.edges)
+        g = s.game
+        rate = g.attacker_energy.rho / g.attacker_energy.beta_strong
+        assert rate >= len(g.graph.edges)
         trace = run(s)
         verdict = consensus_verdict(trace)
         assert verdict.verdict == "clusters"
-        assert verdict.clusters.group_count == s.graph.n
+        assert verdict.clusters.group_count == g.graph.n
         assert all(step.defense_effective == frozenset() for step in trace.steps)
 
 

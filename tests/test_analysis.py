@@ -191,21 +191,8 @@ class TestClusterUpperBound:
         assert self.bound(att=(1, 1, 1, 2), util=UtilityWeights(a=1, b=1), g=PATH3) == 2
 
 
-def scenario(att, g=PATH3, x=(1, 2, 3), h=(1, 1), T=(1, 1), K=40, **kw):
-    return Scenario(
-        graph=g,
-        initial_state=make_state(x),
-        weights=Weights.uniform(g),
-        util=UTIL,
-        attacker_energy=EnergyParams.attacker(*att),
-        defender_energy=EnergyParams.defender("0.5", "0.5", 1),
-        h_attacker=h[0],
-        h_defender=h[1],
-        T_attacker=T[0],
-        T_defender=T[1],
-        K=K,
-        **kw,
-    )
+def scenario(att, g=PATH3, x=(1, 2, 3), h=(1, 1), T=(1, 1), K=40):
+    return Scenario(game(g, att, h, T), make_state(x), K=K)
 
 
 class TestConsensusVerdict:

@@ -9,28 +9,27 @@ import pytest
 from jamgame.cli import main, read_run, summarize
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
-from jamgame.game import UtilityWeights
+from jamgame.game import Game, Schedule, UtilityWeights
 from jamgame.network import Graph
 from jamgame.rolling import run
 from jamgame.scenario import Scenario, bundled_scenario, dumps_scenario
 
 
-def small_scenario(name="small", h=(2, 1), T=(1, 1), K=12, att=("1.5", "1.5", 1, 2)):
-    g = Graph.from_edges(3, [(1, 2), (2, 3)])
-    return Scenario(
-        graph=g,
-        initial_state=make_state([1, 2, 3]),
-        weights=Weights.uniform(g),
-        util=UtilityWeights(a=1, b=0),
-        attacker_energy=EnergyParams.attacker(*att),
-        defender_energy=EnergyParams.defender("0.5", "0.5", 1),
-        h_attacker=h[0],
-        h_defender=h[1],
-        T_attacker=T[0],
-        T_defender=T[1],
-        K=K,
-        name=name,
+def path_game(n, h, T):
+    """A game on the n-path with case1's energies."""
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    return Game(
+        g,
+        Weights.uniform(g),
+        UtilityWeights(a=1, b=0),
+        Schedule(T_attacker=T[0], T_defender=T[1], h_attacker=h[0], h_defender=h[1]),
+        EnergyParams.attacker("1.5", "1.5", 1, 2),
+        EnergyParams.defender("0.5", "0.5", 1),
     )
+
+
+def small_scenario():
+    return Scenario(path_game(3, h=(2, 1), T=(1, 1)), make_state([1, 2, 3]), K=12, name="small")
 
 
 @pytest.fixture
@@ -93,21 +92,7 @@ class TestAnalyze:
         assert data["theta"]["values"] == [2, 3]
 
     def test_theta_work_bound(self, tmp_path, capsys):
-        g = Graph.from_edges(18, [(i, i + 1) for i in range(1, 18)])
-        s = Scenario(
-            graph=g,
-            initial_state=make_state(range(1, 19)),
-            weights=Weights.uniform(g),
-            util=UtilityWeights(a=1, b=0),
-            attacker_energy=EnergyParams.attacker("1.5", "1.5", 1, 2),
-            defender_energy=EnergyParams.defender("0.5", "0.5", 1),
-            h_attacker=1,
-            h_defender=1,
-            T_attacker=1,
-            T_defender=1,
-            K=5,
-            name="long-path",
-        )
+        s = Scenario(path_game(18, h=(1, 1), T=(1, 1)), make_state(range(1, 19)), K=5, name="long-path")
         path = tmp_path / "long.json"
         path.write_text(dumps_scenario(s))
         assert main(["analyze", str(path)]) == 3
@@ -151,21 +136,7 @@ class TestRun:
         assert float(energy[0]["attacker_budget"]) == 1.5
 
     def test_oversized_instance_exits_3(self, tmp_path, capsys):
-        g = Graph.from_edges(7, [(i, i + 1) for i in range(1, 7)])
-        s = Scenario(
-            graph=g,
-            initial_state=make_state(range(1, 8)),
-            weights=Weights.uniform(g),
-            util=UtilityWeights(a=1, b=0),
-            attacker_energy=EnergyParams.attacker("1.5", "1.5", 1, 2),
-            defender_energy=EnergyParams.defender("0.5", "0.5", 1),
-            h_attacker=6,
-            h_defender=2,
-            T_attacker=1,
-            T_defender=2,
-            K=10,
-            name="big",
-        )
+        s = Scenario(path_game(7, h=(6, 2), T=(1, 2)), make_state(range(1, 8)), K=10, name="big")
         path = tmp_path / "big.json"
         path.write_text(dumps_scenario(s))
         assert main(["run", str(path), "--output", str(tmp_path / "o")]) == 3
@@ -207,7 +178,8 @@ class TestSweep:
         ]) == 0
         rows = list(csv.DictReader((outdir / "sweep.csv").open()))
         assert rows[0]["status"] == "validation_error"
-        assert "kappa" in rows[0]["error"]
+        # a point is checked as a file is, so the error names the field
+        assert rows[0]["error"].startswith("attacker_energy: need kappa >= rho > 0")
         assert rows[1]["status"] == "ok"
 
     def test_oversized_point_recorded_as_work_bound(self, scenario_file, tmp_path):
@@ -229,8 +201,24 @@ class TestSweep:
         assert main(["sweep", str(scenario_file), "--grid", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_repeated_grid_parameter_rejected(self, scenario_file, tmp_path, capsys):
+        argv = ["sweep", str(scenario_file), "--output", str(tmp_path / "out"),
+                "--grid", "h_attacker=1,2", "--grid", "h_attacker=3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("invalid scenario: grid: grid parameter 'h_attacker'")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("axis", ["h_attacker=x", "rho_attacker=abc"])
     def test_non_numeric_grid_value_rejected(self, scenario_file, tmp_path, capsys, axis):
         assert main(["sweep", str(scenario_file), "--output", str(tmp_path / "out"), "--grid", axis]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario: grid:") and axis in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_that_cannot_be_a_directory_exits_2(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "prop3_regime", "--output", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("invalid scenario: output: cannot create directory")
+    assert taken.read_text() == ""

@@ -203,34 +203,32 @@ class TestTieBreak:
     def test_single_candidate(self):
         ctx = make_ctx()
         one = attack(normal=[(1, 2)])
-        assert attacker_tie_break([(one, Fraction(3))], ctx) == one
+        assert attacker_tie_break([one], ctx) == one
 
     def test_abundant_energy_prefers_more_edges(self):
         ctx = make_ctx()
         small = attack(normal=[(1, 2)])
         large = attack(normal=[(1, 2), (2, 3)])
-        assert attacker_tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx) == large
+        assert attacker_tie_break([small, large], ctx) == large
 
     def test_scarce_energy_prefers_fewer_edges(self):
         p = EnergyParams.attacker(kappa=3, rho=3, beta_normal=1, beta_strong=2)
         ctx = make_ctx(attacker=p)
         small = attack(normal=[(1, 2)])
         large = attack(normal=[(1, 2), (2, 3)])
-        assert attacker_tie_break([(small, Fraction(0)), (large, Fraction(0))], ctx) == small
+        assert attacker_tie_break([small, large], ctx) == small
 
     def test_equal_size_falls_back_to_canonical_order(self):
         ctx = make_ctx()
         strong = attack(strong=[(1, 2)])
         normal = attack(normal=[(1, 2)])
         # the all-normal action sorts before the all-strong one
-        assert attacker_tie_break([(strong, Fraction(1)), (normal, Fraction(1))], ctx) == normal
+        assert attacker_tie_break([strong, normal], ctx) == normal
 
     def test_rejects_empty_and_mixed_utilities(self):
         ctx = make_ctx()
         with pytest.raises(ValueError):
             attacker_tie_break([], ctx)
-        with pytest.raises(ValueError):
-            attacker_tie_break([(attack(), Fraction(0)), (attack(normal=[(1, 2)]), Fraction(1))], ctx)
 
 
 class TestOpponentLayout:
@@ -308,7 +306,7 @@ def one_shot_table(ctx):
             x1 = consensus_step(ctx.state, resolved, game.weights)
             responses.append((d, -game.util.a * state_difference(x1)))
         best_def = max(u for _, u in responses)
-        cands = [(d, u) for d, u in responses if u == best_def]
+        cands = [d for d, u in responses if u == best_def]
         d_star = tie_break(cands, game, DEFENDER, ctx.t0, ctx.t0, ctx.defender_spent)
         resolved = apply_actions(game.graph, atk.strong, atk.normal, d_star.recover)
         x1 = consensus_step(ctx.state, resolved, game.weights)
@@ -331,7 +329,7 @@ class TestSolveOneShot:
         ctx = make_ctx(graph=EDGE1, state=(0, 1), attacker=att, defender=dfn)
         table = one_shot_table(ctx)
         best = max(u for _, u in table.values())
-        cands = [(a, u) for a, (_, u) in table.items() if u == best]
+        cands = [a for a, (_, u) in table.items() if u == best]
         expected = attacker_tie_break(cands, ctx)
         assert solve_decision(ctx).steps == (expected,)
 

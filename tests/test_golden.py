@@ -1,7 +1,9 @@
-"""Byte-identity of the bundled scenarios' run artifacts and analyze reports.
+"""Byte-identity of the bundled scenarios' run artifacts, analyze reports and
+serialized scenarios.
 
-The digests were recorded from `jamgame run <name> --json` and from the stdout
-of `jamgame analyze <name> --json`, plus one long run of a case1 variant. Any
+The digests were recorded from `jamgame run <name> --json`, from the stdout of
+`jamgame analyze <name> --json` and `jamgame validate <name> --json`, plus one
+long run of a case1 variant. Any
 change to the solver, the simulation, the static analysis or the serializers
 that moves a single byte of these outputs fails here; a deliberate change of
 output must re-record them.
@@ -91,6 +93,24 @@ def test_bundled_analyze_report_is_byte_identical(name):
     with contextlib.redirect_stdout(out):
         assert main(["analyze", name, "--json"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_GOLDEN[name]
+
+
+# `validate --json` prints the same bytes `run` writes to scenario.json.
+VALIDATE_GOLDEN = {
+    "case1": "ffb4d450cbeed330a163e5fe474b889e9d0e2d22945780bb991ffbe64338791e",
+    "case2": "6ea02b905267bd4194efe10143154cd23a8306154b8cae33c96be75b59b098ee",
+    "fig1_schedule": "d61f106b4892e29fa8459c3fe021faafc0f36c4e45bbed24bb6476a0f40d02a5",
+    "prop3_regime": "11270d1529f27afd4658df9e24476d032d91faf3f94b59a1cc5a72257143f9c2",
+    "theta_example": "26037d1187c9a1bd38b4f4012b353db6a2de8e9f84062bceb5473cccf1374e97",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN))
+def test_bundled_scenario_serialization_is_byte_identical(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", name, "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VALIDATE_GOLDEN[name]
 
 
 SWEEP_GOLDEN = "b0f3128b193afc84e401f6a0daa1682488116cf19c048659d9c709ef9d00bbe1"

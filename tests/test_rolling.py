@@ -8,7 +8,7 @@ import pytest
 from jamgame import game, rolling
 from jamgame.dynamics import Weights, consensus_step, make_state
 from jamgame.energy import EnergyParams, budget_at
-from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan, Schedule, UtilityWeights
+from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Game, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph, apply_actions
 from jamgame.rolling import Trace, run
 from jamgame.scenario import Scenario, bundled_scenario
@@ -29,19 +29,15 @@ def scenario(
     state=(1, 2, 3),
     graph=PATH3,
 ):
-    return Scenario(
-        graph=graph,
-        initial_state=make_state(state),
-        weights=Weights.uniform(graph),
-        util=UtilityWeights(a=1, b=0),
-        attacker_energy=EnergyParams.attacker(*attacker),
-        defender_energy=EnergyParams.defender(*defender),
-        h_attacker=h_attacker,
-        h_defender=h_defender,
-        T_attacker=T_attacker,
-        T_defender=T_defender,
-        K=K,
+    g = Game(
+        graph,
+        Weights.uniform(graph),
+        UtilityWeights(a=1, b=0),
+        Schedule(T_attacker, T_defender, h_attacker, h_defender),
+        EnergyParams.attacker(*attacker),
+        EnergyParams.defender(*defender),
     )
+    return Scenario(g, make_state(state), K=K)
 
 
 def plan(owner, start, steps, period_hint=None):
@@ -163,7 +159,7 @@ def unattacked_reference(s: Scenario, length: int):
     states = []
     x = s.initial_state
     for _ in range(length):
-        x = consensus_step(x, s.graph, s.weights)
+        x = consensus_step(x, s.game.graph, s.game.weights)
         states.append(x)
     return states
 
@@ -178,14 +174,14 @@ class TestRun:
             assert step.state == ref
             assert step.attack == attack()
             assert step.defense_planned == defense()
-            assert step.resolved_edges == s.graph.edges
+            assert step.resolved_edges == s.game.graph.edges
 
     def test_ledger_safety_at_every_step(self):
         s = scenario(h_attacker=3, h_defender=2, T_attacker=1, T_defender=2, K=12)
         trace = run(s)
         for step in trace.steps:
-            assert step.attacker_spent <= budget_at(s.attacker_energy, step.k)
-            assert step.defender_spent <= budget_at(s.defender_energy, step.k)
+            assert step.attacker_spent <= budget_at(s.game.attacker_energy, step.k)
+            assert step.defender_spent <= budget_at(s.game.defender_energy, step.k)
             assert step.attacker_wasted <= step.attacker_spent
             assert step.defender_wasted <= step.defender_spent
 
@@ -194,8 +190,8 @@ class TestRun:
         trace = run(s)
         for step in trace.steps:
             for owner, applied, period in (
-                (ATTACKER, step.attack, s.T_attacker),
-                (DEFENDER, step.defense_planned, s.T_defender),
+                (ATTACKER, step.attack, s.game.schedule.T_attacker),
+                (DEFENDER, step.defense_planned, s.game.schedule.T_defender),
             ):
                 current = max(
                     (p for p in trace.plans if p.owner == owner and p.start_time <= step.k),
@@ -210,7 +206,7 @@ class TestRun:
         trace = run(s)
         for step in trace.steps:
             assert step.defense_effective == step.defense_planned.recover & step.attack.normal
-            resolved = apply_actions(s.graph, step.attack.strong, step.attack.normal, step.defense_planned.recover)
+            resolved = apply_actions(s.game.graph, step.attack.strong, step.attack.normal, step.defense_planned.recover)
             assert step.resolved_edges == resolved.edges
 
     def test_overdrawn_committed_action_is_refused(self, monkeypatch):
@@ -254,14 +250,13 @@ class TestRun:
         # h = T = 1 makes every step two fresh decisions; the solver's defense
         # prices are bounded by the distinct (recover, normal) pairs, not by K.
         real = game.defense_cost
+        base = bundled_scenario("case1")
+        single_step = replace(base.game, schedule=Schedule(1, 1, 1, 1))
         counts = []
         for K in (20, 60):
             calls = []
             monkeypatch.setattr(game, "defense_cost", lambda *args: calls.append(args) or real(*args))
-            s = replace(
-                bundled_scenario("case1"), K=K, convergence_window=K + 1,
-                h_attacker=1, h_defender=1, T_attacker=1, T_defender=1,
-            )
+            s = replace(base, game=single_step, K=K, convergence_window=K + 1)
             assert len(run(s).steps) == K
             counts.append(len(calls))
         assert counts[0] == counts[1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import CostModel, EnergyParams
-from jamgame.game import UtilityWeights
+from jamgame.game import Game, Schedule, UtilityWeights
 from jamgame.network import Graph
 from jamgame.scenario import (
     Scenario,
@@ -26,21 +26,20 @@ from jamgame.scenario import (
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 
 
-def sample(**overrides):
-    fields = dict(
-        graph=PATH3,
-        initial_state=make_state([1, 2, 3]),
-        weights=Weights.uniform(PATH3),
-        util=UtilityWeights(a=1, b=2),
-        attacker_energy=EnergyParams.attacker("1.5", "1.5", 1, 2),
-        defender_energy=EnergyParams.defender("0.5", "0.5", 1),
-        h_attacker=3,
-        h_defender=2,
-        T_attacker=1,
-        T_defender=2,
-        K=40,
-        name="sample",
+def sample_game(graph=PATH3, weights=None, cost_model=CostModel()):
+    return Game(
+        graph,
+        weights or Weights.uniform(graph),
+        UtilityWeights(a=1, b=2),
+        Schedule(T_attacker=1, T_defender=2, h_attacker=3, h_defender=2),
+        EnergyParams.attacker("1.5", "1.5", 1, 2),
+        EnergyParams.defender("0.5", "0.5", 1),
+        cost_model,
     )
+
+
+def sample(**overrides):
+    fields = dict(game=sample_game(), initial_state=make_state([1, 2, 3]), K=40, name="sample")
     fields.update(overrides)
     return Scenario(**fields)
 
@@ -51,7 +50,7 @@ class TestRoundTrip:
         assert scenario_from_dict(scenario_to_dict(s)) == s
 
     def test_json_round_trip_is_identity(self):
-        s = sample(cost_model=CostModel(mode="node", waste="free"))
+        s = sample(game=sample_game(cost_model=CostModel(mode="node", waste="free")))
         assert loads_scenario(dumps_scenario(s)) == s
 
     def test_file_round_trip(self, tmp_path):
@@ -62,7 +61,7 @@ class TestRoundTrip:
 
     def test_nonuniform_weights_survive(self):
         w = Weights(3, {(1, 2): Fraction(1, 4), (2, 3): Fraction(1, 3)})
-        s = sample(weights=w)
+        s = sample(game=sample_game(weights=w))
         assert loads_scenario(dumps_scenario(s)) == s
 
     def test_dict_form_is_json_ready(self):
@@ -112,7 +111,7 @@ class TestValidation:
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ValueError):
-            sample(graph=Graph.from_edges(3, [(1, 2)]))
+            sample(game=sample_game(graph=Graph.from_edges(3, [(1, 2)])))
 
     def test_wrong_format_version(self):
         d = scenario_to_dict(sample())
@@ -323,23 +322,27 @@ def scenarios(draw):
     rho_a, rho_d = draw(positive_fractions()), draw(positive_fractions())
     beta_normal = draw(positive_fractions())
     h_a, h_d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return Scenario(
-        graph=graph,
-        initial_state=make_state(draw(st.lists(st.fractions(-5, 5, max_denominator=30), min_size=n, max_size=n))),
-        weights=weights,
-        util=UtilityWeights(a=draw(st.fractions(0, 3, max_denominator=7)), b=draw(positive_fractions(3))),
-        attacker_energy=EnergyParams.attacker(
+    initial_state = make_state(draw(st.lists(st.fractions(-5, 5, max_denominator=30), min_size=n, max_size=n)))
+    game = Game(
+        graph,
+        weights,
+        UtilityWeights(a=draw(st.fractions(0, 3, max_denominator=7)), b=draw(positive_fractions(3))),
+        Schedule(
+            T_attacker=draw(st.integers(1, h_a)), T_defender=draw(st.integers(1, h_d)),
+            h_attacker=h_a, h_defender=h_d,
+        ),
+        EnergyParams.attacker(
             rho_a + draw(st.fractions(0, 3, max_denominator=9)), rho_a, beta_normal,
             beta_normal + draw(positive_fractions()),
         ),
-        defender_energy=EnergyParams.defender(
+        EnergyParams.defender(
             rho_d + draw(st.fractions(0, 3, max_denominator=9)), rho_d, draw(positive_fractions())
         ),
-        h_attacker=h_a,
-        h_defender=h_d,
-        T_attacker=draw(st.integers(1, h_a)),
-        T_defender=draw(st.integers(1, h_d)),
-        cost_model=CostModel(draw(st.sampled_from(["edge", "node"])), draw(st.sampled_from(["charged", "free"]))),
+        CostModel(draw(st.sampled_from(["edge", "node"])), draw(st.sampled_from(["charged", "free"]))),
+    )
+    return Scenario(
+        game=game,
+        initial_state=initial_state,
         K=draw(st.integers(1, 1000)),
         convergence_eps=draw(positive_fractions(1)),
         convergence_window=draw(st.integers(1, 50)),
