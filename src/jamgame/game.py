@@ -21,6 +21,9 @@ Predictions are self-contained: a predicted player anticipates the other side
 through the same model, never through the mover's actual candidate actions
 beyond the current step, and responses are re-evaluated fresh at every step of
 whatever branch the mover explores.
+
+Every step is one zero-sum stage, so the solver is one minimax recursion with
+attacker-side values, which the attacker maximizes and the defender minimizes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .dynamics import State, Weights, as_fraction, consensus_step, state_difference
+from .dynamics import State, Weights, as_fraction, consensus_step, make_state, state_difference
 from .energy import (
     NODE_ATTACK,
     CostModel,
@@ -217,6 +220,9 @@ class Game:
 class SolveContext:
     """One decision of a game: state, time, mover, spends so far, and knowledge.
 
+    The state and both spends are coerced to exact Fractions, so float or
+    integer input solves exactly as its exact value does.
+
     `known` is the applied block of the opponent's plan in force, one action
     per step of the opponent's period from its latest decision time, or `()`
     when the mover knows nothing. A block is refused unless `Schedule.knows`
@@ -233,6 +239,9 @@ class SolveContext:
     known: tuple = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "state", make_state(self.state))
+        object.__setattr__(self, "attacker_spent", as_fraction(self.attacker_spent))
+        object.__setattr__(self, "defender_spent", as_fraction(self.defender_spent))
         if self.mover not in (ATTACKER, DEFENDER):
             raise ValueError(f"unknown mover {self.mover!r}")
         if len(self.state) != self.game.graph.n:
@@ -572,7 +581,16 @@ class StepCache:
 
 
 class _Solver:
-    """Backward induction over the mover's window with predicted opponents.
+    """One minimax recursion over the mover's window with predicted opponents.
+
+    `value(t, x, sa, sd, end)` is the value of the tail from step t, always
+    attacker-side: the attacker maximizes it and the defender minimizes it.
+    With `end` an objective end, the tail [t, end] is a predicted model in
+    which both sides optimize that window. With `end=None` it is the mover's
+    own window [t, w_end]: the mover optimizes, and `opponent_layout` supplies
+    the opponent at each step, known (FIXED) or predicted over its own
+    objective end. `_attack` is the one best-response loop over attacks and
+    `_defend` the one over defenses; `_prefers` breaks ties in both.
 
     The search runs on exact integers over per-window denominators. A state at
     time t is the tuple of its numerators over den(x0)*D^(t-t0), where den(x0)
@@ -582,16 +600,19 @@ class _Solver:
     denominators. Values are numerators over the window denominator
     Q = L*den(x0)^2*D^(2H), where L is the lcm of the utility weights'
     denominators and H the window length. The one conversion back is
-    `Plan.utility = Fraction(total, Q)`.
+    `Plan.utility = Fraction(±total, Q)`, negated for a defender mover.
 
-    Only the window's search memos belong to one decision. `_inner_memo`
-    holds the inner model's (value, leading attack) per node; the defender
-    mover's predicted attacker reads its attack there. Prices, budget lines,
-    the sustain test and the option lists come from the step cache's pricing
-    table for M (`StepCache.prices`), so a run prices each distinct argument
-    once, not once per decision; without a cache the solver starts from a
-    fresh one. A cache built for another game is refused: its steps and
-    prices would be that game's.
+    Only the window's two search memos belong to one decision: `_values`
+    holds (value, leading attack) per attacker node, and `_responses` holds
+    (value, defense, price) per defender node, so a predicted attacker reads
+    its predicted defender's value there. A defender mover's own nodes live
+    in `_responses` alone. Prices, budget lines, the sustain test and the
+    option lists come from the step cache's pricing table for M
+    (`StepCache.prices`), so a run prices each distinct argument once, not
+    once per decision; without a cache the solver starts from a fresh one. A
+    cache built for another game is refused: its steps and prices would be
+    that game's. The solver holds no reference to itself, so it is freed as
+    soon as its decision returns.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
@@ -625,118 +646,90 @@ class _Solver:
         self._attack_prices = prices.attack_prices
         self._defense_price = prices.defense_price
         self._sustain = prices.sustain
-        # Unbound, so the solver holds no cycle through itself and its memos
-        # are freed as soon as its decision returns.
-        self._outer_step = _Solver._outer_attacker if ctx.mover == ATTACKER else _Solver._outer_defender
-        self._outer_memo: dict = {}
-        self._inner_memo: dict = {}
-        self._resp_memo: dict = {}
+        self._defending = ctx.mover == DEFENDER
+        self._values: dict = {}
+        self._responses: dict = {}
 
     def _step(self, t: int, x: Numerators, attack: AttackAction, defense: DefenseAction):
         """(next numerators, attacker-side payoff over Q) of the step from t."""
         x1, dis, gi = self.cache.step(x, attack, defense)
         return x1, self._dis_weight[t] * dis - self._gi_weight * gi
 
-    # inner model: both sides predicted, objective window [t, end]
-
-    def inner_value(self, t: int, x: Numerators, sa: int, sd: int, end: int) -> int:
-        """Attacker-side value of the modeled tail [t, end]."""
-        if t > end:
-            return 0
+    def value(self, t: int, x: Numerators, sa: int, sd: int, end: int | None):
+        """(attacker-side value of the tail from t, its attack at t or a defender mover's defense)."""
+        if t > (self.w_end if end is None else end):
+            return (0, None)
+        if end is None and self._defending:
+            return self._defend(t, x, sa, sd, None, self._lead(t, x, sa, sd))[:2]
         key = (t, x, sa, sd, end)
-        hit = self._inner_memo.get(key)
+        hit = self._values.get(key)
         if hit is None:
-            hit = self._inner_memo[key] = self._inner_step(t, x, sa, sd, end)
-        return hit[0]
+            hit = self._values[key] = self._attack(t, x, sa, sd, end)
+        return hit
 
-    def _inner_step(self, t, x, sa, sd, end):
-        """(value, leading attack) of the modeled tail [t, end]."""
-        want_more = self._sustain(ATTACKER, sa, t, end)
+    def _attack(self, t, x, sa, sd, end):
+        """(value, attack) of the attacker's best response at t."""
+        want_more = self._sustain(ATTACKER, sa, t, self.w_end if end is None else end)
         best = None
         for cost_a, atk in self._attacks(t, sa):
-            d, cost_d = self.predicted_defense(t, x, sa, sd, end, atk, cost_a)
-            x1, payoff = self._step(t, x, atk, d)
-            val = payoff + self.inner_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
+            if end is None:
+                d, cost_d = self._answer(t, x, sa, sd, atk)
+                x1, payoff = self._step(t, x, atk, d)
+                val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None)[0]
+            else:
+                val = self._defend(t, x, sa, sd, end, atk)[0]
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
                 best = (val, atk)
         return best
 
-    def predicted_defense(self, t, x, sa, sd, end, attack, attack_cost_):
-        """Defender response to a same-step attack, optimizing its side over [t, end]."""
+    def _defend(self, t, x, sa, sd, end, attack):
+        """(value, defense, price) of the defender's best response to a same-step attack."""
         key = (t, x, sa, sd, end, attack)
-        hit = self._resp_memo.get(key)
-        if hit is not None:
-            return hit
-        want_more = self._sustain(DEFENDER, sd, t, end)
-        sa1 = sa + attack_cost_
-        best = None
-        for cost_d, d in self._defenses(t, sd, attack.normal):
-            x1, payoff = self._step(t, x, attack, d)
-            val = -payoff - self.inner_value(t + 1, x1, sa1, sd + cost_d, end)
-            if best is None or val > best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
-                best = (val, d, cost_d)
-        result = (best[1], best[2])
-        self._resp_memo[key] = result
-        return result
-
-    # outer recursion: the mover's own objective over [t, w_end]
-
-    def outer(self, t: int, x: Numerators, sa: int, sd: int):
-        """Returns (mover-side value of [t, w_end], mover action at t, successor key)."""
-        if t > self.w_end:
-            return (0, None, None)
-        key = (t, x, sa, sd)
-        hit = self._outer_memo.get(key)
+        hit = self._responses.get(key)
         if hit is None:
-            hit = self._outer_memo[key] = self._outer_step(self, t, x, sa, sd)
+            want_more = self._sustain(DEFENDER, sd, t, self.w_end if end is None else end)
+            sa1 = sa + self._attack_prices[attack]
+            best = None
+            for cost_d, d in self._defenses(t, sd, attack.normal):
+                x1, payoff = self._step(t, x, attack, d)
+                val = payoff + self.value(t + 1, x1, sa1, sd + cost_d, end)[0]
+                if best is None or val < best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
+                    best = (val, d, cost_d)
+            hit = self._responses[key] = best
         return hit
 
-    def _outer_attacker(self, t, x, sa, sd):
-        slot = self.layout[t]
-        want_more = self._sustain(ATTACKER, sa, t, self.w_end)
-        best = None
-        for cost_a, atk in self._attacks(t, sa):
-            if slot.kind == FIXED:
-                d = slot.action
-                cost_d = self._defense_price(d.recover, atk.normal)
-            else:
-                d, cost_d = self.predicted_defense(t, x, sa, sd, slot.objective_end, atk, cost_a)
-            x1, payoff = self._step(t, x, atk, d)
-            succ = (x1, sa + cost_a, sd + cost_d)
-            val = payoff + self.outer(t + 1, *succ)[0]
-            if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
-                best = (val, atk, succ)
-        return best
+    # the opponent at step t of the mover's own window
 
-    def _outer_defender(self, t, x, sa, sd):
+    def _lead(self, t, x, sa, sd) -> AttackAction:
+        """The attack at t: the attacker mover's best, or the known or predicted one."""
+        if not self._defending:
+            return self.value(t, x, sa, sd, None)[1]
         slot = self.layout[t]
-        if slot.kind == FIXED:
-            atk = slot.action
-        else:
+        return slot.action if slot.kind == FIXED else self.value(t, x, sa, sd, slot.objective_end)[1]
+
+    def _answer(self, t, x, sa, sd, attack: AttackAction):
+        """(defense, price) answering the attack at t: the defender mover's best, or the known or predicted one."""
+        end = None
+        if not self._defending:
+            slot = self.layout[t]
+            if slot.kind == FIXED:
+                return slot.action, self._defense_price(slot.action.recover, attack.normal)
             end = slot.objective_end
-            self.inner_value(t, x, sa, sd, end)
-            atk = self._inner_memo[t, x, sa, sd, end][1]
-        cost_a = self._attack_prices[atk]
-        want_more = self._sustain(DEFENDER, sd, t, self.w_end)
-        best = None
-        for cost_d, d in self._defenses(t, sd, atk.normal):
-            x1, payoff = self._step(t, x, atk, d)
-            succ = (x1, sa + cost_a, sd + cost_d)
-            val = -payoff + self.outer(t + 1, *succ)[0]
-            if best is None or val > best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
-                best = (val, d, succ)
-        return best
+        return self._defend(t, x, sa, sd, end, attack)[1:]
 
     def solve(self) -> Plan:
         ctx = self.ctx
-        node = (self.x0, _over(ctx.attacker_spent, self.M), _over(ctx.defender_spent, self.M))
-        total, _, _ = self.outer(ctx.t0, *node)
+        x, sa, sd = self.x0, _over(ctx.attacker_spent, self.M), _over(ctx.defender_spent, self.M)
+        total = self.value(ctx.t0, x, sa, sd, None)[0]
         steps = []
         for t in range(ctx.t0, self.w_end + 1):
-            _, action, succ = self.outer(t, *node)
-            steps.append(action)
-            node = succ
-        return ctx.plan(steps, Fraction(total, self.Q))
+            atk = self._lead(t, x, sa, sd)
+            d, cost_d = self._answer(t, x, sa, sd, atk)
+            steps.append(d if self._defending else atk)
+            if t < self.w_end:
+                x = self.cache.step(x, atk, d)[0]
+                sa, sd = sa + self._attack_prices[atk], sd + cost_d
+        return ctx.plan(steps, Fraction(-total if self._defending else total, self.Q))
 
 
 def solve_decision(ctx: SolveContext, cache: StepCache | None = None) -> Plan:

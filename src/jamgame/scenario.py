@@ -114,9 +114,10 @@ def _parse_edge_key(key: str, field: str):
         raise ScenarioError(field, f"bad edge key {key!r}, expected 'i-j'") from exc
 
 
-def _need(data: dict, key: str) -> object:
+def _need(data: dict, key: str, section: str = "") -> object:
+    """data[key]; a missing key is reported as `section.key`, or `key` at the top level."""
     if key not in data:
-        raise ScenarioError(key, "missing required field")
+        raise ScenarioError(f"{section}.{key}" if section else key, "missing required field")
     return data[key]
 
 
@@ -184,8 +185,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     graph_raw = _object(data, "graph", required=True)
     try:
-        n = _int_field(graph_raw["n"], "graph.n")
-        edges = [tuple(_int_field(v, "graph.edges") for v in e) for e in graph_raw["edges"]]
+        n = _int_field(_need(graph_raw, "n", "graph"), "graph.n")
+        edges = [tuple(_int_field(v, "graph.edges") for v in e) for e in _need(graph_raw, "edges", "graph")]
         graph = Graph.from_edges(n, edges)
     except ScenarioError:
         raise
@@ -214,7 +215,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ScenarioError("weights.value", "not used by matrix weights")
             by_edge = {
                 _parse_edge_key(k, "weights.by_edge"): as_fraction(v)
-                for k, v in weights_raw["by_edge"].items()
+                for k, v in _need(weights_raw, "by_edge", "weights").items()
             }
             weights = Weights(graph.n, by_edge)
         else:
@@ -233,21 +234,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("utility", str(exc)) from exc
 
     att_raw = _object(data, "attacker_energy", required=True)
+    att = {k: _need(att_raw, k, "attacker_energy") for k in ("kappa", "rho", "beta_normal", "beta_strong")}
     try:
-        attacker = EnergyParams.attacker(
-            kappa=att_raw["kappa"],
-            rho=att_raw["rho"],
-            beta_normal=att_raw["beta_normal"],
-            beta_strong=att_raw["beta_strong"],
-        )
+        attacker = EnergyParams.attacker(**att)
     except Exception as exc:
         raise ScenarioError("attacker_energy", str(exc)) from exc
 
     def_raw = _object(data, "defender_energy", required=True)
+    dfn = {k: _need(def_raw, k, "defender_energy") for k in ("kappa", "rho", "beta_recover")}
     try:
-        defender = EnergyParams.defender(
-            kappa=def_raw["kappa"], rho=def_raw["rho"], beta_recover=def_raw["beta_recover"]
-        )
+        defender = EnergyParams.defender(**dfn)
     except Exception as exc:
         raise ScenarioError("defender_energy", str(exc)) from exc
 
@@ -255,9 +251,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for name in ("horizons", "periods"):
         raw = _object(data, name, required=True)
         for who in ("attacker", "defender"):
-            if who not in raw:
-                raise ScenarioError(f"{name}.{who}", "missing required field")
-            cadence[name, who] = _int_field(raw[who], f"{name}.{who}")
+            cadence[name, who] = _int_field(_need(raw, who, name), f"{name}.{who}")
 
     cm_raw = _object(data, "cost_model")
     mode = cm_raw.get("mode", EDGE_ATTACK)

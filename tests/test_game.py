@@ -1,6 +1,8 @@
 """Tests for action enumeration, step payoffs, tie-breaking, and the plan solver."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from jamgame.game import (
     tie_break,
 )
 from jamgame.network import Graph
+from jamgame.scenario import bundled_scenario
 
 EDGE1 = Graph.from_edges(2, [(1, 2)])
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -504,6 +507,77 @@ class TestKnownBlock:
         assert opponent_layout(make_ctx(t0=3, mover=DEFENDER, **fig1))[3].kind == PREDICTED
         with pytest.raises(ValueError, match="cannot know"):
             make_ctx(t0=3, mover=DEFENDER, known=(attack(), attack()), **fig1)
+
+
+class TestSolveContext:
+    @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
+    def test_float_numbers_solve_as_their_exact_values(self, mover):
+        exact = make_ctx(
+            mover=mover, h_attacker=2, h_defender=2, attacker=CASE1_ATT, defender=CASE1_DEF,
+            attacker_spent=Fraction(1, 2), defender_spent=Fraction(1, 4),
+        )
+        floats = SolveContext(exact.game, (1.0, 2.0, 3.0), 0, mover, attacker_spent=0.5, defender_spent=0.25)
+        assert floats == exact
+        assert solve_decision(floats) == solve_decision(exact)
+
+
+class TestSolverLifetime:
+    @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
+    def test_finished_solver_is_freed_without_the_cycle_collector(self, mover):
+        # A reference cycle through the solver would keep its memos alive
+        # until the next collection, raising a run's peak memory.
+        scenario = bundled_scenario("case1")
+        ctx = SolveContext(scenario.game, scenario.initial_state, 0, mover)
+        gc.disable()
+        try:
+            solver = _Solver(ctx)
+            solver.solve()
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def model_value(ctx) -> Fraction:
+    """Attacker-side value of the predicted model over the mover's whole window."""
+    solver = _Solver(ctx)
+    sa, sd = (int(spent * solver.M) for spent in (ctx.attacker_spent, ctx.defender_spent))
+    return Fraction(solver.value(ctx.t0, solver.x0, sa, sd, solver.w_end)[0], solver.Q)
+
+
+HALF = Fraction(1, 2)
+
+
+class TestValueMonotone:
+    """A larger spend only shrinks that player's later options, so it never helps that player."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=st.sampled_from([EDGE1, PATH3]),
+        mover=st.sampled_from([ATTACKER, DEFENDER]),
+        mode=st.sampled_from(["edge", "node"]),
+        waste=st.sampled_from(["charged", "free"]),
+        b=st.sampled_from([Fraction(0), HALF]),
+        h_attacker=st.integers(min_value=1, max_value=2),
+        h_defender=st.integers(min_value=1, max_value=2),
+        t0=st.integers(min_value=0, max_value=1),
+        sa=st.integers(min_value=0, max_value=3).map(lambda k: k * HALF),
+        sd=st.integers(min_value=0, max_value=3).map(lambda k: k * HALF),
+        state=st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=3),
+    )
+    def test_value_rises_with_defender_spend_and_falls_with_attacker_spend(
+        self, graph, mover, mode, waste, b, h_attacker, h_defender, t0, sa, sd, state
+    ):
+        def value(sa, sd):
+            return model_value(make_ctx(
+                graph=graph, state=state[: graph.n], t0=t0, mover=mover, h_attacker=h_attacker,
+                h_defender=h_defender, attacker=CASE1_ATT, defender=CASE1_DEF, cost_model=CostModel(mode, waste),
+                util=UtilityWeights(a=1, b=b), attacker_spent=sa, defender_spent=sd,
+            ))
+
+        base = value(sa, sd)
+        assert value(sa + HALF, sd) <= base <= value(sa, sd + HALF)
 
 
 class TestGame:

@@ -185,6 +185,28 @@ class TestValidation:
         assert e.value.field == f"{section}.{key}"
 
     @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("graph", "n"),
+            ("graph", "edges"),
+            ("weights", "by_edge"),
+            *(("attacker_energy", k) for k in ("kappa", "rho", "beta_normal", "beta_strong")),
+            *(("defender_energy", k) for k in ("kappa", "rho", "beta_recover")),
+            ("horizons", "attacker"),
+            ("periods", "defender"),
+        ],
+    )
+    def test_missing_section_key_named(self, section, key):
+        w = Weights(3, {(1, 2): Fraction(1, 4), (2, 3): Fraction(1, 3)})
+        d = scenario_to_dict(sample(game=sample_game(weights=w)))
+        assert d["weights"]["kind"] == "matrix"
+        del d[section][key]
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert e.value.field == f"{section}.{key}"
+        assert str(e.value) == f"{section}.{key}: missing required field"
+
+    @pytest.mark.parametrize(
         "weights, field",
         [
             ({"kind": "uniform", "value": "1/3", "by_edge": {"1-2": "1/5", "2-3": "1/7"}}, "weights.by_edge"),
