@@ -464,15 +464,21 @@ class _Prices:
     come from `AttackAction.cost` when the catalog is built; each memo calls
     its rule (`budget_at`, `defense_cost`, and `_sustainable` on the maximal
     action's price) once per distinct argument. No rule is restated here.
+
+    The option lists run from the dearest attack to the cheapest and from the
+    largest recovery set to the smallest, each in canonical order within a
+    price or size; the order is fixed when the table is built. Strong moves
+    first give a predicted player's cutoffs a tight bound early. Order never
+    changes a result: `_prefers` is a strict total order on equal values, so
+    a best-response loop picks the same action in any visit order.
     """
 
     def __init__(self, game: Game, M: int):
         self.game, self.M = game, M
-        self.att_catalog = tuple(
-            (_over(c, M), a) for c, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy)
-        )
+        priced = ((_over(c, M), a) for c, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy))
+        self.att_catalog = tuple(sorted(priced, key=lambda ca: -ca[0]))
         self.attack_prices = {a: c for c, a in self.att_catalog}
-        self.def_catalog = _defense_catalog(game.graph)
+        self.def_catalog = tuple(sorted(_defense_catalog(game.graph), key=lambda d: -d.size))
         self._full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
         self._budgets: dict = {}
         self._defense_prices: dict = {}
@@ -613,6 +619,22 @@ class _Solver:
     cache built for another game is refused: its steps and prices would be
     that game's. The solver holds no reference to itself, so it is freed as
     soon as its decision returns.
+
+    Predicted nodes (`end` set) are pruned, exactly; the mover's own window is
+    not, since its predicted opponent there optimizes another objective.
+    * A predicted defender that cannot sustain its maximal action
+      (`want_more` false) skips every recovery set E ∪ W with W outside the
+      normally attacked edges: it steps exactly as E does and costs at least
+      as much, the value does not fall as the defender's spend rises, and
+      with `want_more` false the smaller E wins a tie.
+    * Alpha-beta cutoffs over two levels (Knuth & Moore, 1975). A predicted
+      `_attack` hands its best value so far to `_defend` as a `floor`, and the
+      defender stops at its first value below it; a predicted `_defend` hands
+      its best value so far, less the step payoff, to the next step's `value`
+      as a `cut`, and the attacker stops at its first value above it. Only
+      strict inequalities cut, because equal values go to `_prefers`.
+    A cut result is a bound, not a value: neither `_values` nor `_responses`
+    keeps it, so `_answer` and the plan walk read exact entries only.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
@@ -655,8 +677,12 @@ class _Solver:
         x1, dis, gi = self.cache.step(x, attack, defense)
         return x1, self._dis_weight[t] * dis - self._gi_weight * gi
 
-    def value(self, t: int, x: Numerators, sa: int, sd: int, end: int | None):
-        """(attacker-side value of the tail from t, its attack at t or a defender mover's defense)."""
+    def value(self, t: int, x: Numerators, sa: int, sd: int, end: int | None, cut: int | None = None):
+        """(attacker-side value of the tail from t, its attack at t or a defender mover's defense).
+
+        With a `cut`, a predicted attacker stops at its first value above it
+        and returns that value, a bound that no memo keeps.
+        """
         if t > (self.w_end if end is None else end):
             return (0, None)
         if end is None and self._defending:
@@ -664,11 +690,13 @@ class _Solver:
         key = (t, x, sa, sd, end)
         hit = self._values.get(key)
         if hit is None:
-            hit = self._values[key] = self._attack(t, x, sa, sd, end)
+            hit = self._attack(t, x, sa, sd, end, cut)
+            if cut is None or hit[0] <= cut:
+                self._values[key] = hit
         return hit
 
-    def _attack(self, t, x, sa, sd, end):
-        """(value, attack) of the attacker's best response at t."""
+    def _attack(self, t, x, sa, sd, end, cut):
+        """(value, attack) of the attacker's best response at t, or a bound above `cut`."""
         want_more = self._sustain(ATTACKER, sa, t, self.w_end if end is None else end)
         best = None
         for cost_a, atk in self._attacks(t, sa):
@@ -677,26 +705,41 @@ class _Solver:
                 x1, payoff = self._step(t, x, atk, d)
                 val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None)[0]
             else:
-                val = self._defend(t, x, sa, sd, end, atk)[0]
+                val = self._defend(t, x, sa, sd, end, atk, None if best is None else best[0])[0]
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
                 best = (val, atk)
+                if cut is not None and val > cut:
+                    break
         return best
 
-    def _defend(self, t, x, sa, sd, end, attack):
-        """(value, defense, price) of the defender's best response to a same-step attack."""
+    def _defend(self, t, x, sa, sd, end, attack, floor=None):
+        """(value, defense, price) of the defender's best response to a same-step attack.
+
+        With a `floor`, a predicted defender stops at its first value below it
+        and returns that value, a bound that no memo keeps.
+        """
         key = (t, x, sa, sd, end, attack)
         hit = self._responses.get(key)
-        if hit is None:
-            want_more = self._sustain(DEFENDER, sd, t, self.w_end if end is None else end)
-            sa1 = sa + self._attack_prices[attack]
-            best = None
-            for cost_d, d in self._defenses(t, sd, attack.normal):
-                x1, payoff = self._step(t, x, attack, d)
-                val = payoff + self.value(t + 1, x1, sa1, sd + cost_d, end)[0]
-                if best is None or val < best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
-                    best = (val, d, cost_d)
-            hit = self._responses[key] = best
-        return hit
+        if hit is not None:
+            return hit
+        predicted = end is not None
+        want_more = self._sustain(DEFENDER, sd, t, end if predicted else self.w_end)
+        normal = attack.normal
+        skip_waste = predicted and not want_more
+        sa1 = sa + self._attack_prices[attack]
+        best = None
+        for cost_d, d in self._defenses(t, sd, normal):
+            if skip_waste and not d.recover <= normal:
+                continue
+            x1, payoff = self._step(t, x, attack, d)
+            cut = best[0] - payoff if predicted and best is not None else None
+            val = payoff + self.value(t + 1, x1, sa1, sd + cost_d, end, cut)[0]
+            if best is None or val < best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
+                best = (val, d, cost_d)
+                if floor is not None and val < floor:
+                    return best
+        self._responses[key] = best
+        return best
 
     # the opponent at step t of the mover's own window
 

@@ -10,10 +10,11 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from jamgame.analysis import (
+    WorkBoundExceeded,
     brute_force_equilibrium,
     check_conditions,
     cluster_upper_bound,
@@ -31,6 +32,10 @@ from jamgame.game import (
     Schedule,
     SolveContext,
     UtilityWeights,
+    _attack_catalog,
+    _defense_catalog,
+    can_sustain_full_action,
+    opponent,
     solve_decision,
 )
 from jamgame.network import Graph, agent_group_index, is_connected
@@ -256,6 +261,94 @@ def test_solver_matches_exhaustive_search_on_fractional_instances():
                     assert solve_decision(ctx) == brute_force_equilibrium(ctx)
                     checked += 1
     assert checked == 56
+
+
+HALF = Fraction(1, 2)
+ORACLE_ATTACKERS = tuple(
+    EnergyParams(kappa=k, rho=k, beta_normal=1, beta_strong=2) for k in (Fraction(3, 2), Fraction(7, 2))
+)
+# A defender that is scarce, middling, front-loaded (it can sustain recovering
+# every edge early on, then runs short), or rich enough to sustain recovering
+# every edge of any drawn graph throughout.
+ORACLE_DEFENDERS = tuple(
+    EnergyParams(kappa=k, rho=r, beta_recover=1)
+    for k, r in ((HALF, HALF), (Fraction(3, 2), Fraction(3, 2)), (Fraction(2), HALF), (Fraction(4), Fraction(4)))
+)
+# A predicted defender that can sustain its maximal action recovers unattacked
+# edges too, and the attacker then exploits its spent budget a step later.
+FRONT_LOADED_DEFENDER = SolveContext(
+    Game(PATH3, Weights.uniform(PATH3), UtilityWeights(), Schedule(1, 1, 2, 1), ORACLE_ATTACKERS[1],
+         ORACLE_DEFENDERS[2]),
+    make_state([1, 2, 3]), t0=0, mover=ATTACKER,
+)
+
+
+@st.composite
+def oracle_contexts(draw):
+    """One decision of a small generated game, with whatever the schedule lets the mover know."""
+    n = draw(st.sampled_from([3, 4]))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    g = Graph.from_edges(n, edges)
+    mode = draw(st.sampled_from(["edge", "node"]))
+    # The oracle's whole-plan search grows as the catalogs to the power of the
+    # windows, so two-step windows are drawn only on catalogs where it stays fast.
+    attacks, defenses = 3 ** (n if mode == "node" else len(edges)), 2 ** len(edges)
+    two_step_windows = 0 if attacks > 27 or defenses > 4 else 1 if attacks > 9 else 2
+    cadences = [(1, 1), (2, 1), (2, 2)]
+    (h_att, t_att), (h_dfn, t_dfn) = draw(st.sampled_from(
+        [(a, d) for a in cadences for d in cadences if (a[0] == 2) + (d[0] == 2) <= two_step_windows]
+    ))
+    schedule = Schedule(T_attacker=t_att, T_defender=t_dfn, h_attacker=h_att, h_defender=h_dfn)
+    game = Game(
+        g, Weights.uniform(g), UtilityWeights(a=1, b=draw(st.sampled_from([Fraction(0), HALF]))), schedule,
+        draw(st.sampled_from(ORACLE_ATTACKERS)), draw(st.sampled_from(ORACLE_DEFENDERS)),
+        CostModel(mode=mode, waste=draw(st.sampled_from(["charged", "free"]))),
+    )
+    mover = draw(st.sampled_from([ATTACKER, DEFENDER]))
+    t0 = draw(st.integers(min_value=0, max_value=2)) * schedule.period(mover)
+    known = ()
+    if schedule.knows(mover, t0) and draw(st.booleans()):
+        if mover == DEFENDER:
+            catalog = [a for _, a in _attack_catalog(g, mode, game.attacker_energy)]
+        else:
+            catalog = list(_defense_catalog(g))
+        known = tuple(draw(st.sampled_from(catalog)) for _ in range(schedule.period(opponent(mover))))
+    spends = st.integers(min_value=0, max_value=4).map(lambda k: k * HALF)
+    return SolveContext(
+        game, draw(st.lists(st.integers(min_value=0, max_value=9), min_size=n, max_size=n)), t0, mover,
+        attacker_spent=draw(spends), defender_spent=draw(spends), known=known,
+    )
+
+
+def test_solver_matches_exhaustive_search_on_generated_instances():
+    # Tolerance: exact plan equality, as above, on 3-4 agents, both attack
+    # modes and waste modes, b in {0, 1/2}, staggered t0, starting spends and
+    # known blocks. The oracle refuses a draw past 6,000 leaf evaluations; at
+    # most a fifth of the draws may be refused. Wall clock under 20 s.
+    checked, refused, defender_stance = [], [], set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_contexts())
+    @example(FRONT_LOADED_DEFENDER)
+    def solver_equals_oracle(ctx):
+        window_end = ctx.t0 + ctx.game.schedule.h_defender - 1
+        defender_stance.add(can_sustain_full_action(ctx.game, DEFENDER, ctx.defender_spent, ctx.t0, window_end))
+        try:
+            expected = brute_force_equilibrium(ctx, work_bound=6_000)
+        except WorkBoundExceeded:
+            event("the oracle refused the draw")
+            refused.append(ctx)
+            return
+        assert solve_decision(ctx) == expected
+        checked.append(ctx)
+
+    start = time.perf_counter()
+    solver_equals_oracle()
+    elapsed = time.perf_counter() - start
+    assert len(refused) <= (len(checked) + len(refused)) // 5
+    assert defender_stance == {True, False}
+    assert elapsed < 20.0
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from jamgame.game import (
     tie_break,
 )
 from jamgame.network import Graph
+from jamgame.rolling import run
 from jamgame.scenario import bundled_scenario
 
 EDGE1 = Graph.from_edges(2, [(1, 2)])
@@ -126,13 +128,16 @@ class TestEnumerateAttacks:
         ctx = make_ctx(attacker=p)
         assert len(solver_attacks(ctx, 1)) == 9
 
-    def test_canonical_order_is_stable(self):
+    def test_options_run_from_dearest_to_cheapest_in_a_stable_order(self):
+        # Strong attacks come first, so a predicted attacker's bound is high early;
+        # equal prices keep the canonical catalog's order, which itself is unchanged.
         ctx = make_ctx()
         first = solver_attacks(ctx, 0)
-        second = solver_attacks(ctx, 0)
-        assert first == second
-        keys = [a.sort_key for a in first]
-        assert keys == sorted(keys)
+        assert first == solver_attacks(ctx, 0)
+        canonical = [a for _, a in _attack_catalog(PATH3, "edge", ABUNDANT)]
+        assert [a.sort_key for a in canonical] == sorted(a.sort_key for a in canonical)
+        assert first == sorted(canonical, key=lambda a: -a.cost(ABUNDANT))
+        assert first[0] == attack(strong=[(1, 2), (2, 3)]) and first[-1] == attack()
 
     def test_node_mode_strong_center_takes_both_edges(self):
         ctx = make_ctx(cost_model=CostModel(mode="node"))
@@ -168,6 +173,11 @@ class TestEnumerateDefenses:
     def test_power_set_when_affordable(self):
         ctx = make_ctx()
         assert len(solver_defenses(ctx, 0)) == 4
+
+    def test_options_run_from_largest_to_smallest_in_a_stable_order(self):
+        options = solver_defenses(make_ctx(), 0, frozenset({(1, 2), (2, 3)}))
+        assert options == sorted(_defense_catalog(PATH3), key=lambda d: -d.size)
+        assert options == [defense([(1, 2), (2, 3)]), defense([(1, 2)]), defense([(2, 3)]), defense()]
 
     def test_below_single_edge_cost_gives_only_empty(self):
         scarce = EnergyParams.defender(kappa="0.5", rho="0.5", beta_recover=1)
@@ -578,6 +588,56 @@ class TestValueMonotone:
 
         base = value(sa, sd)
         assert value(sa + HALF, sd) <= base <= value(sa, sd + HALF)
+
+
+class TestPruning:
+    """Predicted nodes prune exactly: only exact results are memoized, and the pruning stays."""
+
+    @staticmethod
+    def solved(cadence, mover, state=(1, 2, 3)):
+        """A solver that has solved a first decision of case1's game under case1's or fig1's cadence."""
+        game = bundled_scenario("case1").game
+        if cadence == "fig1":
+            game = replace(game, schedule=Schedule(T_attacker=2, T_defender=3, h_attacker=6, h_defender=4))
+        solver = _Solver(SolveContext(game, state, 0, mover))
+        solver.solve()
+        assert solver._responses
+        return solver
+
+    @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
+    @pytest.mark.parametrize("cadence", ["case1", "fig1"])
+    def test_memos_hold_only_exact_results(self, cadence, mover):
+        # A cut result is only a bound; a memo that kept one would hand it to
+        # a later reader that needs the exact value or the best action.
+        solver = self.solved(cadence, mover)
+        for key, hit in solver._values.items():
+            assert _Solver(solver.ctx).value(*key) == hit
+        for key, hit in solver._responses.items():
+            assert _Solver(solver.ctx)._defend(*key) == hit
+
+    @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
+    @pytest.mark.parametrize("state", [(1, 2, 3), (1, 1, 3)], ids=["distinct", "agreed-pair"])
+    def test_a_bound_equal_to_the_value_cuts_nothing(self, state, mover):
+        # Equal values go to the tie-break, so only a strictly better value may
+        # cut: at a predicted node, a bound equal to its value changes no result.
+        # With agents 1 and 2 agreed, recovering edge (1, 2) ties with not
+        # recovering it at the last step of a predicted window.
+        solver = self.solved("case1", mover, state)
+        predicted = [(key, hit) for key, hit in solver._values.items() if key[4] is not None]
+        assert predicted
+        for key, hit in predicted:
+            assert _Solver(solver.ctx).value(*key, cut=hit[0]) == hit
+        for key, hit in solver._responses.items():
+            if key[4] is not None:
+                assert _Solver(solver.ctx)._defend(*key, floor=hit[0]) == hit
+
+    def test_case2_run_makes_fewer_steps_than_without_pruning(self, monkeypatch):
+        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 12,515.
+        calls = []
+        real = StepCache.step
+        monkeypatch.setattr(StepCache, "step", lambda self, *args: calls.append(None) or real(self, *args))
+        run(bundled_scenario("case2"))
+        assert len(calls) < 22_859
 
 
 class TestGame:

@@ -3,7 +3,7 @@ serialized scenarios.
 
 The digests were recorded from `jamgame run <name> --json`, from the stdout of
 `jamgame analyze <name> --json` and `jamgame validate <name> --json`, plus one
-long run of a case1 variant. Any
+long run of a case1 variant and case2 under the three non-default cost models. Any
 change to the solver, the simulation, the static analysis or the serializers
 that moves a single byte of these outputs fails here; a deliberate change of
 output must re-record them.
@@ -76,6 +76,40 @@ def test_long_single_step_run_artifacts_are_byte_identical(tmp_path):
         assert main(["run", str(path), "--output", str(tmp_path / "out"), "--json"]) == 0
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in LONG_RUN_GOLDEN}
     assert digests == LONG_RUN_GOLDEN
+
+
+# case2 under the other three cost models; every bundled scenario is edge/charged.
+COST_MODEL_GOLDEN = {
+    ("edge", "free"): {
+        "trace.csv": "8af80b35d25be6ccd1c7b2d18b15088886c4d3979f7ad2cf20e5a5f70774d475",
+        "plans.csv": "12322cd82366d64204622af417b8afc21bc82d5f18d608e9515fdea7c6552b46",
+        "summary.json": "8e24918080edaf3eea9f7d240d32d969ec4ecec18cd78e7eb2957945051328b2",
+    },
+    ("node", "charged"): {
+        "trace.csv": "59bab488ad6824c5c14aeb16df6e3eea5b4c3b039da4edc09d3c6028dafd4d74",
+        "plans.csv": "aece3a73c6670b28e47c3609ea8250f85c9502731cd840d8902dc98997a4ec7a",
+        "summary.json": "958495c5b03805f392d28806d60db54e4ad1348bf78b6e39b7fb74a58f984faf",
+    },
+    ("node", "free"): {
+        "trace.csv": "59bab488ad6824c5c14aeb16df6e3eea5b4c3b039da4edc09d3c6028dafd4d74",
+        "plans.csv": "aece3a73c6670b28e47c3609ea8250f85c9502731cd840d8902dc98997a4ec7a",
+        "summary.json": "d2b232d6597406f2cfe2661f66344bab0aa512c5169e0093f197b52e7b920e1b",
+    },
+}
+
+
+@pytest.mark.parametrize("cost_model", sorted(COST_MODEL_GOLDEN), ids="-".join)
+def test_case2_run_artifacts_under_other_cost_models_are_byte_identical(cost_model, tmp_path):
+    mode, waste = cost_model
+    data = scenario_to_dict(bundled_scenario("case2"))
+    data.update(name=f"case2_{mode}_{waste}", cost_model={"mode": mode, "waste": waste})
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--output", str(tmp_path / "out"), "--json"]) == 0
+    golden = COST_MODEL_GOLDEN[cost_model]
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in golden}
+    assert digests == golden
 
 
 ANALYZE_GOLDEN = {
