@@ -3,8 +3,8 @@
 The condition report and the cluster bound are pure functions of the scenario
 configuration; nothing here runs the game. The brute-force solver enumerates
 whole plans and exists to cross-check the backward-induction solver: the two
-share only the opponent information structure, the step payoff and the
-tie-break rule, never the search.
+share only the opponent information structure (`Schedule.knows` and
+`Schedule.supplier`), the step payoff and the tie-break rule, never the search.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from .energy import EDGE_ATTACK, NODE_ATTACK, CostModel, EnergyParams, budget_at
 from .game import (
     ATTACKER,
     DEFENDER,
-    FIXED,
     AttackAction,
     DefenseAction,
     Game,
     Plan,
     SolveContext,
     opponent,
-    opponent_layout,
     step_payoff,
     tie_break,
 )
@@ -302,10 +300,10 @@ class _Budget:
 class _BruteForce:
     """Plan enumeration with freshly recomputed opponent behavior.
 
-    Every mover plan is realized step by step: fixed opponent segments replay
-    the committed actions, predicted segments re-solve the opponent's own
-    objective by plain recursion. No value is memoized and no search is shared
-    with the backward-induction solver.
+    Every mover plan is realized step by step: a known opponent block replays
+    its committed actions, and every other step re-solves by plain recursion
+    the objective of the opponent decision `Schedule.supplier` names. No value
+    is memoized and no search is shared with the backward-induction solver.
     """
 
     def __init__(self, ctx: SolveContext, work: _Budget):
@@ -316,8 +314,7 @@ class _BruteForce:
         self.cm = game.cost_model
         self.att_p = game.attacker_energy
         self.def_p = game.defender_energy
-        self.w_end = ctx.window_end
-        self.layout = opponent_layout(ctx)
+        self.w_end = game.schedule.window_end(ctx.mover, ctx.t0)
         self.attacks = _all_attacks(self.g, self.cm, self.att_p)
         self.defenses = _all_defenses(self.g)
 
@@ -380,18 +377,17 @@ class _BruteForce:
     # realized opponent action at one step of a mover trajectory
 
     def _opponent_at(self, t, x, sa, sd, mover_action=None, mover_cost=None):
-        slot = self.layout[t]
-        opp = opponent(self.ctx.mover)
-        if slot.kind == FIXED:
-            action = slot.action
+        ctx, sched, opp = self.ctx, self.game.schedule, opponent(self.ctx.mover)
+        owner = sched.supplier(ctx.mover, ctx.t0, t)
+        if owner < ctx.t0 and ctx.known:
+            action = ctx.known[t - owner]
             if opp == DEFENDER:
-                cost, _ = defense_cost(action.recover, mover_action.normal, self.cm, self.def_p)
-            else:
-                cost = action.cost(self.att_p)
-            return action, cost
+                return action, defense_cost(action.recover, mover_action.normal, self.cm, self.def_p)[0]
+            return action, action.cost(self.att_p)
+        end = min(sched.window_end(opp, owner), self.w_end)
         if opp == DEFENDER:
-            return self._predict_defense(t, x, sa, sd, slot.objective_end, mover_action, mover_cost)
-        return self._predict_attack(t, x, sa, sd, slot.objective_end)
+            return self._predict_defense(t, x, sa, sd, end, mover_action, mover_cost)
+        return self._predict_attack(t, x, sa, sd, end)
 
     # exhaustive mover plans
 

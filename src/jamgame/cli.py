@@ -487,9 +487,20 @@ def cmd_validate(args) -> int:
 # --- argument parsing ---------------------------------------------------------------
 
 
+def _work_bound(raw: str) -> int:
+    """A `--work-bound` value: an integer of at least 0, where 0 refuses every instance at the gate."""
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {bound}")
+    return bound
+
+
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--work-bound": dict(type=int, default=None, help="override the configured work bound"),
+    "--work-bound": dict(type=_work_bound, default=None, help="override the configured work bound"),
 }
 
 

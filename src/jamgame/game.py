@@ -13,8 +13,9 @@ come from three sources, in priority order:
   mover know it (only the block actually being applied counts; the opponent's
   unapplied plan tail is superseded by its next decision and is predicted
   instead);
-* everything else is predicted by modeling the opponent's own optimization,
-  anchored at the opponent's decision times and clipped to the mover's window;
+* everything else is predicted by modeling the opponent's own optimization:
+  `Schedule.supplier` names the opponent decision whose plan supplies each
+  step, and that decision's window, clipped to the mover's, is the model's;
 * the mover's own actions are free variables optimized over the whole window.
 
 Predictions are self-contained: a predicted player anticipates the other side
@@ -138,9 +139,9 @@ class Schedule:
     """Decision period T and lookahead window length h of both players.
 
     The one home of the cadence rules: each period is at least 1 and at most
-    its horizon, the per-player lookup, when a player re-decides, the lcm of
-    the periods, at which both do, and what a mover may know of the
-    opponent's plan in force.
+    its horizon, the per-player lookup, when a player re-decides and where its
+    window ends, the lcm of the periods, what a mover may know of the
+    opponent's plan in force and which opponent decision supplies each step.
     """
 
     T_attacker: int
@@ -173,6 +174,23 @@ class Schedule:
         T = self.period(player)
         return t // T * T
 
+    def window_end(self, player: str, t: int) -> int:
+        """Last step of the window the player plans over when it decides at t."""
+        return t + self.horizon(player) - 1
+
+    def supplier(self, mover: str, t0: int, t: int) -> int:
+        """The opponent decision time whose plan supplies step t of the mover's window from t0.
+
+        From the block in force at t0 on, it is the earliest opponent decision
+        whose window reaches t: the latest at or before t - h + T.
+        """
+        opp = opponent(mover)
+        T = self.period(opp)
+        first = self.anchor(opp, t0)
+        if first < t0 and t >= first + T:  # past the block in force
+            first += T
+        return max(first, self.anchor(opp, t - self.horizon(opp) + T))
+
     def knows(self, mover: str, t: int) -> bool:
         """True iff the mover, deciding at t, knows the applied block of the opponent's plan in force.
 
@@ -185,7 +203,7 @@ class Schedule:
         t_d = self.anchor(opp, t)
         if t_d >= t:
             return False
-        return self.decides(mover, t_d) or t_d + self.horizon(opp) <= self.anchor(mover, t_d) + self.horizon(mover)
+        return self.decides(mover, t_d) or self.window_end(opp, t_d) <= self.window_end(mover, self.anchor(mover, t_d))
 
 
 @dataclass(frozen=True)
@@ -263,11 +281,6 @@ class SolveContext:
             catalog = set(_defense_catalog(game.graph))
         if not catalog.issuperset(self.known):
             raise ValueError(f"a known {opp} action is not an action of this game")
-
-    @property
-    def window_end(self) -> int:
-        """Last step of the mover's lookahead window."""
-        return self.t0 + self.game.schedule.horizon(self.mover) - 1
 
     def plan(self, steps, utility: Fraction) -> Plan:
         """The mover's plan decided here, numbered from 1 by its decision times."""
@@ -384,59 +397,6 @@ def tie_break(candidates, game: Game, player: str, step_time: int, window_end: i
         if _prefers(action, best, want_more):
             best = action
     return best
-
-
-# --- opponent layout ---------------------------------------------------------
-
-FIXED = "fixed"
-PREDICTED = "predicted"
-
-
-@dataclass(frozen=True)
-class OpponentSlot:
-    """Where one step's opponent action comes from inside the mover's window."""
-
-    kind: str
-    action: object = None
-    objective_end: int = -1
-
-
-def opponent_layout(ctx: SolveContext) -> dict[int, OpponentSlot]:
-    """Assign every window step an opponent-action source.
-
-    The opponent's currently applied block is fixed if known, else predicted with
-    the block owner's own objective window. Later opponent processes are predicted
-    with their full windows clipped to the mover's, each starting where the
-    previous one's territory ends.
-    """
-    sched = ctx.game.schedule
-    w_end = ctx.window_end
-    opp = opponent(ctx.mover)
-    T_o, h_o = sched.period(opp), sched.horizon(opp)
-    slots: dict[int, OpponentSlot] = {}
-    covered = ctx.t0 - 1
-
-    cur_anchor = sched.anchor(opp, ctx.t0)
-    if cur_anchor < ctx.t0:
-        block_end = min(cur_anchor + T_o - 1, w_end)
-        for t in range(ctx.t0, block_end + 1):
-            if ctx.known:
-                slots[t] = OpponentSlot(FIXED, action=ctx.known[t - cur_anchor])
-            else:
-                slots[t] = OpponentSlot(PREDICTED, objective_end=min(cur_anchor + h_o - 1, w_end))
-        covered = block_end
-        anchor = cur_anchor + T_o
-    else:
-        anchor = cur_anchor
-
-    while covered < w_end:
-        start = max(anchor, covered + 1)
-        end = min(anchor + h_o - 1, w_end)
-        for t in range(start, end + 1):
-            slots[t] = OpponentSlot(PREDICTED, objective_end=end)
-        covered = max(covered, end)
-        anchor += T_o
-    return slots
 
 
 # --- evaluation cache --------------------------------------------------------
@@ -593,9 +553,9 @@ class _Solver:
     attacker-side: the attacker maximizes it and the defender minimizes it.
     With `end` an objective end, the tail [t, end] is a predicted model in
     which both sides optimize that window. With `end=None` it is the mover's
-    own window [t, w_end]: the mover optimizes, and `opponent_layout` supplies
-    the opponent at each step, known (FIXED) or predicted over its own
-    objective end. `_attack` is the one best-response loop over attacks and
+    own window [t, w_end]: the mover optimizes, and `_opponent` holds, from
+    `Schedule.supplier`, the opponent's known action or predicted model at
+    each step. `_attack` is the one best-response loop over attacks and
     `_defend` the one over defenses; `_prefers` breaks ties in both.
 
     The search runs on exact integers over per-window denominators. A state at
@@ -645,9 +605,17 @@ class _Solver:
         elif cache.game is not game and cache.game != game:
             raise ValueError("the step cache was built for another game")
         self.cache = cache
-        H = game.schedule.horizon(ctx.mover)
-        self.w_end = ctx.window_end
-        self.layout = opponent_layout(ctx)
+        sched = game.schedule
+        H = sched.horizon(ctx.mover)
+        self.w_end = sched.window_end(ctx.mover, ctx.t0)
+        # The opponent at each step: (its known action, None) or (None, the end of its predicted model).
+        self._opponent, opp = {}, opponent(ctx.mover)
+        for t in range(ctx.t0, self.w_end + 1):
+            s = sched.supplier(ctx.mover, ctx.t0, t)
+            if s < ctx.t0 and ctx.known:
+                self._opponent[t] = (ctx.known[t - s], None)
+            else:
+                self._opponent[t] = (None, min(sched.window_end(opp, s), self.w_end))
 
         den0 = _common_denominator(ctx.state)
         self.x0 = tuple(_over(v, den0) for v in ctx.state)
@@ -745,19 +713,14 @@ class _Solver:
 
     def _lead(self, t, x, sa, sd) -> AttackAction:
         """The attack at t: the attacker mover's best, or the known or predicted one."""
-        if not self._defending:
-            return self.value(t, x, sa, sd, None)[1]
-        slot = self.layout[t]
-        return slot.action if slot.kind == FIXED else self.value(t, x, sa, sd, slot.objective_end)[1]
+        known, end = self._opponent[t] if self._defending else (None, None)
+        return self.value(t, x, sa, sd, end)[1] if known is None else known
 
     def _answer(self, t, x, sa, sd, attack: AttackAction):
         """(defense, price) answering the attack at t: the defender mover's best, or the known or predicted one."""
-        end = None
-        if not self._defending:
-            slot = self.layout[t]
-            if slot.kind == FIXED:
-                return slot.action, self._defense_price(slot.action.recover, attack.normal)
-            end = slot.objective_end
+        known, end = (None, None) if self._defending else self._opponent[t]
+        if known is not None:
+            return known, self._defense_price(known.recover, attack.normal)
         return self._defend(t, x, sa, sd, end, attack)[1:]
 
     def solve(self) -> Plan:

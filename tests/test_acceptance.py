@@ -332,7 +332,7 @@ def test_solver_matches_exhaustive_search_on_generated_instances():
     @given(oracle_contexts())
     @example(FRONT_LOADED_DEFENDER)
     def solver_equals_oracle(ctx):
-        window_end = ctx.t0 + ctx.game.schedule.h_defender - 1
+        window_end = ctx.game.schedule.window_end(DEFENDER, ctx.t0)
         defender_stance.add(can_sustain_full_action(ctx.game, DEFENDER, ctx.defender_spent, ctx.t0, window_end))
         try:
             expected = brute_force_equilibrium(ctx, work_bound=6_000)

@@ -222,3 +222,25 @@ def test_output_that_cannot_be_a_directory_exits_2(command, tmp_path, capsys):
     assert main([command, "prop3_regime", "--output", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("invalid scenario: output: cannot create directory")
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command, bound", [("run", "-1"), ("analyze", "-1"), ("sweep", "-3")])
+def test_work_bound_below_zero_is_refused_as_input(command, bound, tmp_path, capsys):
+    argv = [command, "case1", "--work-bound", bound]
+    if command != "analyze":
+        argv += ["--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"argument --work-bound: must be at least 0, got {bound}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_work_bound_zero_refuses_every_instance_at_the_gate(command, tmp_path, capsys):
+    # a bound of 0 stops a run or an analysis right after loading and gating
+    argv = [command, "case1", "--work-bound", "0"]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "work bound exceeded" in capsys.readouterr().err

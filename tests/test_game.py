@@ -15,8 +15,6 @@ from jamgame.energy import CostModel, EnergyParams
 from jamgame.game import (
     ATTACKER,
     DEFENDER,
-    FIXED,
-    PREDICTED,
     AttackAction,
     DefenseAction,
     Game,
@@ -29,7 +27,7 @@ from jamgame.game import (
     _defense_catalog,
     _Solver,
     can_sustain_full_action,
-    opponent_layout,
+    opponent,
     solve_decision,
     step_payoff,
     tie_break,
@@ -244,49 +242,122 @@ class TestTieBreak:
             attacker_tie_break([], ctx)
 
 
+def reference_layout(sched, mover, t0, known):
+    """The opponent layout as the solver and the oracle read it before `Schedule.supplier`.
+
+    Maps every step of the mover's window from t0 to ("fixed", the known
+    action) or ("predicted", the predicted model's objective end). The
+    opponent's block in force is fixed if known, else predicted with its own
+    window; later opponent decisions are predicted with their full windows
+    clipped to the mover's, each starting where the previous one's ends.
+    """
+    w_end = t0 + sched.horizon(mover) - 1
+    opp = opponent(mover)
+    T_o, h_o = sched.period(opp), sched.horizon(opp)
+    slots = {}
+    covered = t0 - 1
+
+    cur_anchor = sched.anchor(opp, t0)
+    if cur_anchor < t0:
+        block_end = min(cur_anchor + T_o - 1, w_end)
+        for t in range(t0, block_end + 1):
+            if known:
+                slots[t] = ("fixed", known[t - cur_anchor])
+            else:
+                slots[t] = ("predicted", min(cur_anchor + h_o - 1, w_end))
+        covered = block_end
+        anchor = cur_anchor + T_o
+    else:
+        anchor = cur_anchor
+
+    while covered < w_end:
+        start = max(anchor, covered + 1)
+        end = min(anchor + h_o - 1, w_end)
+        for t in range(start, end + 1):
+            slots[t] = ("predicted", end)
+        covered = max(covered, end)
+        anchor += T_o
+    return slots
+
+
+def supplied_layout(sched, mover, t0, known):
+    """The same map read from `Schedule.supplier`, as the solver and the oracle read it."""
+    w_end = sched.window_end(mover, t0)
+    slots = {}
+    for t in range(t0, w_end + 1):
+        owner = sched.supplier(mover, t0, t)
+        if owner < t0 and known:
+            slots[t] = ("fixed", known[t - owner])
+        else:
+            slots[t] = ("predicted", min(sched.window_end(opponent(mover), owner), w_end))
+    return slots
+
+
+def layout(ctx):
+    """The solver's table of the opponent at each step of ctx's window, in the reference's form."""
+    table = _Solver(ctx)._opponent.items()
+    return {t: ("predicted", end) if known is None else ("fixed", known) for t, (known, end) in table}
+
+
+def test_supplier_matches_the_reference_layout_on_every_small_schedule():
+    cadences = [(T, h) for h in range(1, 8) for T in range(1, h + 1)]
+    slots = 0
+    for T_a, h_a in cadences:
+        for T_d, h_d in cadences:
+            sched = Schedule(T_attacker=T_a, T_defender=T_d, h_attacker=h_a, h_defender=h_d)
+            for t0 in range(40):
+                for mover in (ATTACKER, DEFENDER):
+                    if not sched.decides(mover, t0):
+                        continue
+                    blocks = [()]
+                    if sched.knows(mover, t0):
+                        blocks.append(tuple(f"known{i}" for i in range(sched.period(opponent(mover)))))
+                    for known in blocks:
+                        expected = reference_layout(sched, mover, t0, known)
+                        assert supplied_layout(sched, mover, t0, known) == expected, (sched, mover, t0, known)
+                        slots += len(expected)
+    assert slots == 185_588
+
+
 class TestOpponentLayout:
     def test_simultaneous_shorter_defender(self):
         # attacker window [0,2]; defender re-decides every step with a 2-step window
         ctx = make_ctx(h_attacker=3, T_attacker=1, h_defender=2, T_defender=1)
-        layout = opponent_layout(ctx)
-        assert set(layout) == {0, 1, 2}
-        assert all(s.kind == PREDICTED for s in layout.values())
-        assert (layout[0].objective_end, layout[1].objective_end) == (1, 1)
-        assert layout[2].objective_end == 2
+        assert [ctx.game.schedule.supplier(ATTACKER, 0, t) for t in (0, 1, 2)] == [0, 0, 1]
+        assert layout(ctx) == {0: ("predicted", 1), 1: ("predicted", 1), 2: ("predicted", 2)}
 
     def test_staggered_attacker_with_known_block(self):
         # attacker at t=2, window [2,7]; defender committed [0,2] and re-decides at 3 and 6
         block = (defense(), defense(), defense([(1, 2)]))
         ctx = make_ctx(t0=2, h_attacker=6, T_attacker=2, h_defender=4, T_defender=3, known=block)
-        layout = opponent_layout(ctx)
-        assert layout[2].kind == FIXED
-        assert layout[2].action == defense([(1, 2)])
+        sched = ctx.game.schedule
+        assert [sched.supplier(ATTACKER, 2, t) for t in range(2, 8)] == [0, 3, 3, 3, 3, 6]
+        steps = layout(ctx)
+        assert steps[2] == ("fixed", defense([(1, 2)]))
         for t in range(3, 7):
-            assert (layout[t].kind, layout[t].objective_end) == (PREDICTED, 6)
-        assert (layout[7].kind, layout[7].objective_end) == (PREDICTED, 7)
+            assert steps[t] == ("predicted", 6)
+        assert steps[7] == ("predicted", 7)
 
     def test_staggered_attacker_without_knowledge_predicts_current_block(self):
         ctx = make_ctx(t0=2, h_attacker=6, T_attacker=2, h_defender=4, T_defender=3)
-        layout = opponent_layout(ctx)
+        steps = layout(ctx)
         # the unknown committed block is predicted with its own window, clipped
-        assert (layout[2].kind, layout[2].objective_end) == (PREDICTED, 3)
-        assert (layout[3].objective_end, layout[7].objective_end) == (6, 7)
+        assert steps[2] == ("predicted", 3)
+        assert (steps[3], steps[7]) == (("predicted", 6), ("predicted", 7))
 
     def test_staggered_defender_window(self):
         ctx = make_ctx(
             t0=3, mover=DEFENDER, h_attacker=6, T_attacker=2, h_defender=4, T_defender=3
         )
-        layout = opponent_layout(ctx)
-        assert set(layout) == {3, 4, 5, 6}
-        assert (layout[3].kind, layout[3].objective_end) == (PREDICTED, 6)
-        for t in (4, 5, 6):
-            assert (layout[t].kind, layout[t].objective_end) == (PREDICTED, 6)
+        # the attacker's block from 2 covers only step 3; its decision at 4 supplies the rest
+        assert [ctx.game.schedule.supplier(DEFENDER, 3, t) for t in range(3, 7)] == [2, 4, 4, 4]
+        assert layout(ctx) == {t: ("predicted", 6) for t in (3, 4, 5, 6)}
 
     def test_opponent_block_covering_whole_window(self):
         block = tuple(defense() for _ in range(4))
         ctx = make_ctx(t0=5, h_attacker=2, T_attacker=1, h_defender=4, T_defender=4, known=block)
-        layout = opponent_layout(ctx)
-        assert layout[5].kind == FIXED and layout[6].kind == FIXED
+        assert [ctx.game.schedule.supplier(ATTACKER, 5, t) for t in (5, 6)] == [4, 4]
+        assert layout(ctx) == {5: ("fixed", defense()), 6: ("fixed", defense())}
 
 
 def one_shot_table(ctx):
@@ -514,7 +585,7 @@ class TestKnownBlock:
         # fig1's cadence: the attacker's plan from 2 runs to 7, past the
         # defender's window [0, 3], so the defender deciding at 3 cannot know it
         fig1 = dict(T_attacker=2, h_attacker=6, T_defender=3, h_defender=4)
-        assert opponent_layout(make_ctx(t0=3, mover=DEFENDER, **fig1))[3].kind == PREDICTED
+        assert layout(make_ctx(t0=3, mover=DEFENDER, **fig1))[3] == ("predicted", 6)
         with pytest.raises(ValueError, match="cannot know"):
             make_ctx(t0=3, mover=DEFENDER, known=(attack(), attack()), **fig1)
 

@@ -30,7 +30,7 @@ def test_readme_python_blocks_give_the_values_their_comments_state():
 
     assert after[1]["plan"].utility == Fraction(2624, 243)
 
-    assert printed[2] == ["0 True"]
+    assert printed[2] == ["0 True", "[0, 2, 2]"]
     known = after[2]["known"]
     assert after[2]["plan"].utility == Fraction(410, 27)
     assert solve_decision(dataclasses.replace(known, known=())).utility == Fraction(374, 27)
