@@ -15,6 +15,7 @@ import dataclasses
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .scenario import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    unlimited_digits,
 )
 
 TRACE_VERSION = 1
@@ -192,6 +194,7 @@ TRACE_COLUMNS = [
 ]
 
 
+@unlimited_digits()
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """Exact trace table; states and energies are fraction strings."""
     n = trace.scenario.game.graph.n
@@ -222,6 +225,7 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
             )
 
 
+@unlimited_digits()
 def write_plans_csv(trace: Trace, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -234,6 +238,7 @@ def write_plans_csv(trace: Trace, path: Path) -> None:
             writer.writerow([p.owner, p.decision_index, p.start_time, p.utility, json.dumps(steps)])
 
 
+@unlimited_digits()
 def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...], int | None]:
     with open(path, newline="") as fh:
         version_line = fh.readline().strip()
@@ -261,6 +266,7 @@ def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...
     return tuple(steps), converged_at
 
 
+@unlimited_digits()
 def read_plans_csv(path: Path) -> tuple[Plan, ...]:
     plans = []
     with open(path, newline="") as fh:
@@ -289,6 +295,14 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
     return Trace(scenario=scenario, steps=steps, plans=plans, converged_at=converged_at)
 
 
+def _plot_float(value: Fraction) -> float:
+    """The nearest float; a value beyond the float range plots as an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def write_plot_csvs(trace: Trace, outdir: Path) -> None:
     """Float tables for plotting: states over time and energy ledgers over time."""
     game = trace.scenario.game
@@ -297,7 +311,7 @@ def write_plot_csvs(trace: Trace, outdir: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"x{i}" for i in range(1, n + 1)])
         for k, state in enumerate(trace.states()):
-            writer.writerow([k] + [float(x) for x in state])
+            writer.writerow([k] + [_plot_float(x) for x in state])
     with open(outdir / "plot_energy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -308,12 +322,12 @@ def write_plot_csvs(trace: Trace, outdir: Path) -> None:
             writer.writerow(
                 [
                     st.k,
-                    float(budget_at(game.attacker_energy, st.k)),
-                    float(st.attacker_spent),
-                    float(st.attacker_wasted),
-                    float(budget_at(game.defender_energy, st.k)),
-                    float(st.defender_spent),
-                    float(st.defender_wasted),
+                    _plot_float(budget_at(game.attacker_energy, st.k)),
+                    _plot_float(st.attacker_spent),
+                    _plot_float(st.attacker_wasted),
+                    _plot_float(budget_at(game.defender_energy, st.k)),
+                    _plot_float(st.defender_spent),
+                    _plot_float(st.defender_wasted),
                 ]
             )
 
@@ -542,6 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@unlimited_digits()
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -1,11 +1,12 @@
 """Agent state evolution under the consensus protocol and the disagreement objective.
 
 All state arithmetic is exact: equal utilities along different solver branches must
-compare equal, which float summation order would break. Traces hold Fractions; the
-game solver passes these functions integer numerators over per-window denominators
-instead (the update is linear, so the common denominator stays outside) and converts
-back to Fraction only for the plan's utility. Every trace and tie-break is
-bit-reproducible.
+compare equal, which float summation order would break. Traces hold Fractions. The
+consensus update (`consensus_update`) and the disagreement (`state_difference`) are
+generic over the number type, so the game's step cache runs the same two rules on
+integers: numerators over a per-window denominator, with the weights as numerators
+over their common denominator (the update is linear, so both denominators stay
+outside). Every trace and tie-break is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,29 +66,40 @@ class Weights:
         a = Fraction(1, g.n) if value is None else as_fraction(value)
         return cls(g.n, {e: a for e in g.sorted_edges})
 
-    def get(self, e: Edge) -> Fraction:
-        return self.by_edge.get(e, Fraction(0))
-
 
 def consensus_step(x: State, g: Graph, w: Weights) -> State:
     """One synchronous update x_i += sum over surviving neighbors of a_ij (x_j - x_i)."""
     if len(x) != g.n or w.n != g.n:
         raise ValueError("state, graph, and weights must agree on agent count")
-    deltas = [Fraction(0)] * g.n
-    for (i, j) in g.edges:
-        a = w.get((i, j))
-        if a == 0:
-            continue
+    return consensus_update(x, [(e, w.by_edge[e]) for e in g.edges if e in w.by_edge])
+
+
+def consensus_update(x, weighted_edges, scale=1) -> tuple:
+    """The consensus update with weights given as numerators over `scale`.
+
+    Each of `weighted_edges` is ((i, j), a): agents i and j (1-based) are
+    connected and a/scale is their weight. The result is the updated state
+    times `scale`: x_i*scale + sum of a*(x_j - x_i). Generic over the number
+    type: with Fraction weights and scale 1 it is the update itself, and with
+    integer numerators x over s and integer weights it gives the updated
+    numerators over s*scale.
+    """
+    out = list(x) if scale == 1 else [v * scale for v in x]
+    for (i, j), a in weighted_edges:
         diff = a * (x[j - 1] - x[i - 1])
-        deltas[i - 1] += diff
-        deltas[j - 1] -= diff
-    return tuple(x[i] + deltas[i] for i in range(g.n))
+        out[i - 1] += diff
+        out[j - 1] -= diff
+    return tuple(out)
 
 
-def state_difference(x: State) -> Fraction:
-    """Total pairwise disagreement sum over i<j of (x_i - x_j)^2; 0 iff all equal."""
+def state_difference(x):
+    """Total pairwise disagreement sum over i<j of (x_i - x_j)^2; 0 iff all equal.
+
+    Generic over the number type: Fractions give a Fraction, integer
+    numerators over s give the disagreement's numerator over s^2.
+    """
     n = len(x)
-    total = Fraction(0)
+    total = x[0] - x[0] if n else Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
             d = x[i] - x[j]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .dynamics import State, Weights, as_fraction, consensus_step, make_state, state_difference
+from .dynamics import State, Weights, as_fraction, consensus_update, make_state, state_difference
 from .energy import (
     NODE_ATTACK,
     CostModel,
@@ -425,12 +425,16 @@ class _Prices:
     its rule (`budget_at`, `defense_cost`, and `_sustainable` on the maximal
     action's price) once per distinct argument. No rule is restated here.
 
-    The option lists run from the dearest attack to the cheapest and from the
-    largest recovery set to the smallest, each in canonical order within a
-    price or size; the order is fixed when the table is built. Strong moves
-    first give a predicted player's cutoffs a tight bound early. Order never
-    changes a result: `_prefers` is a strict total order on equal values, so
-    a best-response loop picks the same action in any visit order.
+    An option list depends only on the slack `limit = budget(t) - spend`
+    and, for defenses, on the normally attacked edges that price them, so
+    `attacks` keys its lists by `limit` and `defenses` by `(limit, normal)`:
+    every (t, spend) with equal slack shares one list. The lists run from the
+    dearest attack to the cheapest and from the largest recovery set to the
+    smallest, each in canonical order within a price or size; the order is
+    fixed when the table is built. Strong moves first give a predicted
+    player's cutoffs a tight bound early. Order never changes a result:
+    `_prefers` is a strict total order on equal values, so a best-response
+    loop picks the same action in any visit order.
     """
 
     def __init__(self, game: Game, M: int):
@@ -472,18 +476,17 @@ class _Prices:
     # feasible candidates at absolute time t
 
     def attacks(self, t: int, sa: int):
-        key = (t, sa)
-        hit = self._att_options.get(key)
+        limit = self.budget(ATTACKER, t) - sa
+        hit = self._att_options.get(limit)
         if hit is None:
-            limit = self.budget(ATTACKER, t) - sa
-            hit = self._att_options[key] = tuple((c, a) for c, a in self.att_catalog if c <= limit or a.size == 0)
+            hit = self._att_options[limit] = tuple((c, a) for c, a in self.att_catalog if c <= limit or a.size == 0)
         return hit
 
     def defenses(self, t: int, sd: int, normal: frozenset[Edge]):
-        key = (t, sd, normal)
+        limit = self.budget(DEFENDER, t) - sd
+        key = (limit, normal)
         hit = self._def_options.get(key)
         if hit is None:
-            limit = self.budget(DEFENDER, t) - sd
             priced = ((self.defense_price(d.recover, normal), d) for d in self.def_catalog)
             hit = self._def_options[key] = tuple((c, d) for c, d in priced if c <= limit or d.size == 0)
         return hit
@@ -494,20 +497,24 @@ class StepCache:
 
     Each distinct (strong, normal, recover) triple is resolved against the
     base graph once, and its resolved graph is stored with that graph's group
-    index. A state comes in as the numerators of its values over some common
-    denominator s. The consensus update is linear, so the next state's
-    numerators over s*D, where D (`scale`) is the lcm of the weight
-    denominators, do not depend on s: `step` caches on (numerators, resolved
-    edges) alone, and one cache serves every decision of a run. `prices(M)`
-    hands out the pricing table over money scale M, built on first use, so
-    every decision on the same money scale shares its prices and option
-    lists. `money_scale` is the lcm of the energy parameters' denominators,
-    which every M is a multiple of.
+    index and its consensus weights as integer numerators over D (`scale`),
+    the lcm of the weight denominators. A state comes in as the numerators of
+    its values over some common denominator s. The consensus update is
+    linear, so the next state's numerators over s*D do not depend on s: `step`
+    caches on (numerators, resolved edges) alone, and one cache serves every
+    decision of a run. A miss runs `dynamics`' update and disagreement on
+    integers only. `prices(M)` hands out the pricing table over money scale
+    M, built on first use, so every decision on the same money scale shares
+    its prices and option lists; an option list is keyed by the slack left,
+    `budget(t) - spend`, and for defenses also by the normally attacked edges.
+    `money_scale` is the lcm of the energy parameters' denominators, which
+    every M is a multiple of.
     """
 
     def __init__(self, game: Game):
         self.game = game
         self.scale = _common_denominator(game.weights.by_edge.values())
+        self._weights = {e: _over(a, self.scale) for e, a in game.weights.by_edge.items()}
         params = (game.attacker_energy, game.defender_energy)
         self.money_scale = _common_denominator(
             v for p in params for v in (p.kappa, p.rho, p.beta_normal, p.beta_strong, p.beta_recover) if v is not None
@@ -520,19 +527,20 @@ class StepCache:
         """Apply one resolved step to the numerators x over s.
 
         Returns (next numerators over s*D, their disagreement numerator over
-        (s*D)^2, the resolved graph's group index).
+        (s*D)^2, the resolved graph's group index), all of them ints.
         """
         rkey = (attack.strong, attack.normal, defense.recover)
         resolved = self._resolved.get(rkey)
         if resolved is None:
             g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
-            resolved = self._resolved[rkey] = (g1, agent_group_index(g1))
-        g1, gi = resolved
-        skey = (x, g1.edges)
+            weighted = tuple((e, self._weights[e]) for e in g1.edges if e in self._weights)
+            resolved = self._resolved[rkey] = (g1.edges, agent_group_index(g1), weighted)
+        edges, gi, weighted = resolved
+        skey = (x, edges)
         hit = self._next.get(skey)
         if hit is None:
-            x1 = tuple(_over(v, self.scale) for v in consensus_step(x, g1, self.game.weights))
-            hit = self._next[skey] = (x1, int(state_difference(x1)), gi)
+            x1 = consensus_update(x, weighted, self.scale)
+            hit = self._next[skey] = (x1, state_difference(x1), gi)
         return hit
 
     def prices(self, M: int) -> _Prices:

@@ -6,12 +6,15 @@ parameters, horizons, periods, cost model, run length, and tolerances. Loading
 materializes all defaults, so a serialized scenario is fully self-describing
 and round-trips to an identical object. Exact rationals that are not integers
 are written as "p/q" strings; a decimal literal such as 0.1 in a file is read
-exactly, as 1/10, not as the nearest binary float.
+exactly, as 1/10, not as the nearest binary float. Values of any length are
+written and read whole (`unlimited_digits`).
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -98,6 +101,28 @@ def _check_state_length(state, n: int) -> None:
         raise ScenarioError("initial_state", f"expected {n} entries, got {len(state)}")
 
 
+@contextmanager
+def unlimited_digits():
+    """Lift CPython's limit on int/decimal-text conversion for the duration.
+
+    CPython (3.11, and 3.10.7 on) refuses to convert integers of more than
+    4,300 digits to or from decimal text, but an exact value can be that
+    long: a state of "1e5000", or a long run's denominators. Every writer and
+    reader of exact values runs under this (it also decorates functions). The
+    limit is the process's, so other threads see it lifted meanwhile; it is
+    restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _rational(value: Fraction):
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
@@ -173,6 +198,7 @@ def _object(data: dict, section: str, required: bool = False) -> dict:
     return raw
 
 
+@unlimited_digits()
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
@@ -296,6 +322,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
+@unlimited_digits()
 def scenario_to_dict(s: Scenario) -> dict:
     """The scenario as a JSON-ready dict; weights are `uniform` only when every base edge carries one value."""
     g = s.game
@@ -340,10 +367,12 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+@unlimited_digits()
 def dumps_scenario(s: Scenario) -> str:
     return json.dumps(scenario_to_dict(s), indent=2) + "\n"
 
 
+@unlimited_digits()
 def loads_scenario(text: str) -> Scenario:
     try:
         data = json.loads(text, parse_float=Fraction)

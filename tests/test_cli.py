@@ -2,17 +2,27 @@
 
 import csv
 import json
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jamgame.cli import main, read_run, summarize
+from jamgame.cli import main, read_run, summarize, write_plans_csv, write_trace_csv
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
-from jamgame.game import Game, Schedule, UtilityWeights
+from jamgame.game import ATTACKER, AttackAction, Game, Plan, Schedule, UtilityWeights
 from jamgame.network import Graph
-from jamgame.rolling import run
-from jamgame.scenario import Scenario, bundled_scenario, dumps_scenario
+from jamgame.rolling import Trace, run
+from jamgame.scenario import (
+    Scenario,
+    bundled_scenario,
+    dumps_scenario,
+    load_scenario,
+    loads_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 
 def path_game(n, h, T):
@@ -244,3 +254,46 @@ def test_work_bound_zero_refuses_every_instance_at_the_gate(command, tmp_path, c
         argv += ["--output", str(tmp_path / "out")]
     assert main(argv) == 3
     assert "work bound exceeded" in capsys.readouterr().err
+
+
+class TestExactValuesOfAnySize:
+    """Exact values longer than CPython's 4,300-digit int/str conversion limit are written and read back whole."""
+
+    HUGE = Fraction(10**5000, 3)
+
+    def test_trace_and_plans_round_trip(self, tmp_path):
+        # A 12,500-step trace_long run reaches such states after about 85 s; build one directly.
+        s = small_scenario()
+        step = replace(run(s).steps[0], state=(self.HUGE, self.HUGE + 1, -self.HUGE), payoff=self.HUGE**2)
+        plan = Plan(ATTACKER, 1, 0, (AttackAction.empty(),), self.HUGE)
+        trace = Trace(s, (step,), (plan,), None)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_plans_csv(trace, tmp_path / "plans.csv")
+        assert read_run(tmp_path, s) == trace
+
+    def test_scenario_round_trip(self):
+        s = replace(small_scenario(), initial_state=make_state([self.HUGE, 2, 3]))
+        assert loads_scenario(dumps_scenario(s)) == s
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @pytest.fixture
+    def huge_state_file(self, tmp_path):
+        data = scenario_to_dict(small_scenario())
+        data["initial_state"][0] = "1e5000"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_validate_json(self, huge_state_file, capsys):
+        assert main(["validate", str(huge_state_file), "--json"]) == 0
+        assert loads_scenario(capsys.readouterr().out).initial_state[0] == 10**5000
+
+    def test_run(self, huge_state_file, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["run", str(huge_state_file), "--output", str(outdir), "--json"]) == 0
+        s = load_scenario(huge_state_file)
+        assert loads_scenario((outdir / "scenario.json").read_text()) == s
+        assert read_run(outdir, s) == run(s)
+        assert capsys.readouterr().out == (outdir / "summary.json").read_text()
+        states = list(csv.DictReader((outdir / "plot_states.csv").open()))
+        assert states[0]["x1"] == "inf"

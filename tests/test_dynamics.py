@@ -33,8 +33,7 @@ def graph_for_state(x, draw_edges):
 class TestWeights:
     def test_uniform_default_is_one_over_n(self):
         w = Weights.uniform(PATH3)
-        assert w.get((1, 2)) == Fraction(1, 3)
-        assert w.get((1, 3)) == 0
+        assert w.by_edge == {(1, 2): Fraction(1, 3), (2, 3): Fraction(1, 3)}
 
     def test_row_sum_must_stay_below_one(self):
         with pytest.raises(ValueError):

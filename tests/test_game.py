@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame.dynamics import Weights, make_state
+from jamgame.dynamics import Weights, consensus_step, make_state, state_difference
 from jamgame.energy import CostModel, EnergyParams
 from jamgame.game import (
     ATTACKER,
@@ -32,7 +32,7 @@ from jamgame.game import (
     step_payoff,
     tie_break,
 )
-from jamgame.network import Graph
+from jamgame.network import Graph, agent_group_index, apply_actions
 from jamgame.rolling import run
 from jamgame.scenario import bundled_scenario
 
@@ -758,3 +758,83 @@ class TestSustainRule:
         for player in (ATTACKER, DEFENDER):
             assert can_sustain_full_action(game, player, spent, t, end) == expected
             assert prices.sustain(player, int(spent * prices.M), t, end) == expected
+
+
+# Weights with mixed denominators, each below 1/4 so that any row of an
+# agent with at most four neighbours sums below 1; their lcm (630) exceeds
+# every single denominator.
+MIXED_WEIGHTS = (Fraction(1, 5), Fraction(1, 6), Fraction(2, 15), Fraction(3, 14), Fraction(1, 9))
+
+
+@st.composite
+def step_cases(draw):
+    """A game on 2-5 agents with matrix weights, one edge- or node-mode attack with a recovery, and numerators over s."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    g = Graph.from_edges(n, edges)
+    by_edge = {e: draw(st.sampled_from(MIXED_WEIGHTS)) for e in sorted(g.edges) if draw(st.integers(0, 4))}
+    mode = draw(st.sampled_from(["edge", "node"]))
+    if mode == "node":
+        marks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        strong_nodes = frozenset(v for v, m in enumerate(marks, 1) if m == 2)
+        normal_nodes = frozenset(v for v, m in enumerate(marks, 1) if m == 1)
+        strong = g.incident_edges(strong_nodes)
+        atk = AttackAction(strong, g.incident_edges(normal_nodes) - strong, strong_nodes, normal_nodes)
+    else:
+        marks = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+        sorted_edges = sorted(g.edges)
+        atk = AttackAction(
+            frozenset(e for e, m in zip(sorted_edges, marks) if m == 2),
+            frozenset(e for e, m in zip(sorted_edges, marks) if m == 1),
+        )
+    recover = frozenset(draw(st.lists(st.sampled_from(sorted(g.edges)), unique=True)))
+    x = tuple(draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n)))
+    s = draw(st.integers(min_value=1, max_value=10**4))
+    game = Game(g, Weights(n, by_edge), UtilityWeights(), Schedule(1, 1, 1, 1), ABUNDANT, ABUNDANT_DEF, CostModel(mode))
+    return game, atk, DefenseAction(recover), x, s
+
+
+class TestStepKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    def test_step_equals_the_fraction_rule(self, case):
+        # Numerators x over s step to numerators over s*D, their disagreement
+        # to a numerator over (s*D)^2: both the Fraction rule, scaled.
+        game, atk, dfn, x, s = case
+        cache = StepCache(game)
+        scale = s * cache.scale
+        resolved = apply_actions(game.graph, atk.strong, atk.normal, dfn.recover)
+        x1 = consensus_step(tuple(Fraction(v, s) for v in x), resolved, game.weights)
+        expected = (
+            tuple(v * scale for v in x1),
+            state_difference(x1) * scale**2,
+            agent_group_index(resolved),
+        )
+        for _ in range(2):  # a miss, then a hit
+            got = cache.step(x, atk, dfn)
+            assert got == expected
+            assert all(type(v) is int for v in (*got[0], got[1], got[2]))
+
+    def test_disagreement_of_one_fraction_agent_is_a_fraction_zero(self):
+        z = state_difference(make_state([Fraction(7, 3)]))
+        assert z == 0 and type(z) is Fraction
+
+
+class TestOptionLists:
+    """Affordability-filtered option lists depend on the remaining budget alone, and are built once per slack."""
+
+    def test_attacks_with_equal_slack_share_one_list(self):
+        # case1's attacker: budget 3/2 + 3/2*t, so (t=0, spent 0) and (t=1, spent 3/2) leave equal slack.
+        prices = StepCache(bundled_scenario("case1").game).prices(2)
+        assert prices.attacks(1, 3) is prices.attacks(0, 0)
+        assert prices.attacks(1, 3) is not prices.attacks(1, 2)
+
+    def test_defenses_with_equal_slack_and_normal_set_share_one_list(self):
+        # case1's defender: budget 1/2 + 1/2*t, so (t=3, spent 1) and (t=1, spent 0) leave one edge's price.
+        prices = StepCache(bundled_scenario("case1").game).prices(2)
+        normal = frozenset({(1, 2)})
+        shared = prices.defenses(1, 0, normal)
+        assert len(shared) > 1
+        assert prices.defenses(3, 2, normal) is shared
+        assert prices.defenses(3, 2, frozenset()) is not shared
