@@ -39,7 +39,9 @@ from .scenario import (
     bundled_names,
     bundled_scenario,
     dumps_scenario,
+    edge_key,
     load_scenario,
+    parse_edge_key,
     scenario_from_dict,
     scenario_to_dict,
     unlimited_digits,
@@ -148,17 +150,11 @@ def summary_text(summary: RunSummary) -> str:
 
 
 def _edges_str(edges) -> str:
-    return ";".join(f"{a}-{b}" for a, b in sorted(edges))
+    return ";".join(edge_key(e) for e in sorted(edges))
 
 
 def _edges_parse(text: str) -> frozenset[Edge]:
-    if not text:
-        return frozenset()
-    out = set()
-    for item in text.split(";"):
-        a, b = item.split("-")
-        out.add((int(a), int(b)))
-    return frozenset(out)
+    return frozenset(parse_edge_key(item, "edges") for item in text.split(";")) if text else frozenset()
 
 
 def _nodes_str(nodes) -> str:
@@ -208,10 +204,7 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
             writer.writerow(
                 [
                     st.k,
-                    _edges_str(st.attack.strong),
-                    _edges_str(st.attack.normal),
-                    _nodes_str(st.attack.strong_nodes),
-                    _nodes_str(st.attack.normal_nodes),
+                    *_attack_json(st.attack).values(),
                     _edges_str(st.defense_planned.recover),
                     _edges_str(st.defense_effective),
                     _edges_str(st.resolved_edges),

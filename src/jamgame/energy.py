@@ -57,11 +57,20 @@ class EnergyParams:
 
     @classmethod
     def attacker(cls, kappa, rho, beta_normal, beta_strong) -> EnergyParams:
-        return cls(kappa=kappa, rho=rho, beta_normal=beta_normal, beta_strong=beta_strong)
+        return cls._priced(kappa, rho, beta_normal=beta_normal, beta_strong=beta_strong)
 
     @classmethod
     def defender(cls, kappa, rho, beta_recover) -> EnergyParams:
-        return cls(kappa=kappa, rho=rho, beta_recover=beta_recover)
+        return cls._priced(kappa, rho, beta_recover=beta_recover)
+
+    @classmethod
+    def _priced(cls, kappa, rho, **prices) -> EnergyParams:
+        """A player's parameters; each of its prices is required, so None is refused."""
+        params = cls(kappa=kappa, rho=rho, **prices)
+        for name, value in prices.items():
+            if value is None:
+                raise ValueError(f"{name} must be a price, got None")
+        return params
 
 
 @dataclass(frozen=True)

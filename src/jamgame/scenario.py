@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -26,12 +26,6 @@ from .game import Game, Schedule, UtilityWeights
 from .network import Graph, is_connected
 
 FORMAT_VERSION = 1
-
-DEFAULT_K = 500
-DEFAULT_CONVERGENCE_EPS = Fraction(1, 10**9)
-DEFAULT_CONVERGENCE_WINDOW = 10
-DEFAULT_CLUSTER_TOL = Fraction(1, 10**6)
-DEFAULT_WORK_BOUND_GAME = 30
 DEFAULT_WORK_BOUND_THETA = 16
 
 
@@ -54,11 +48,11 @@ class Scenario:
 
     game: Game
     initial_state: State
-    K: int = DEFAULT_K
-    convergence_eps: Fraction = DEFAULT_CONVERGENCE_EPS
-    convergence_window: int = DEFAULT_CONVERGENCE_WINDOW
-    cluster_tol: Fraction = DEFAULT_CLUSTER_TOL
-    work_bound_game: int = DEFAULT_WORK_BOUND_GAME
+    K: int = 500
+    convergence_eps: Fraction = Fraction(1, 10**9)
+    convergence_window: int = 10
+    cluster_tol: Fraction = Fraction(1, 10**6)
+    work_bound_game: int = 30
     work_bound_theta: int = DEFAULT_WORK_BOUND_THETA
     name: str = ""
     description: str = ""
@@ -127,16 +121,29 @@ def _rational(value: Fraction):
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _edge_key(edge) -> str:
+def edge_key(edge) -> str:
+    """An edge as written in a file or trace: "i-j"."""
     return f"{edge[0]}-{edge[1]}"
 
 
-def _parse_edge_key(key: str, field: str):
+def parse_edge_key(key: str, field: str):
+    """The edge an `edge_key` text names; other text is refused as a ScenarioError on `field`."""
     try:
         a, b = key.split("-")
         return (int(a), int(b))
     except ValueError as exc:
         raise ScenarioError(field, f"bad edge key {key!r}, expected 'i-j'") from exc
+
+
+@contextmanager
+def _field(field: str):
+    """Report any error raised inside, other than a ScenarioError, as a ScenarioError on `field`."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except Exception as exc:
+        raise ScenarioError(field, str(exc)) from exc
 
 
 def _need(data: dict, key: str, section: str = "") -> object:
@@ -166,25 +173,26 @@ def _str_field(raw, field: str) -> str:
 
 
 def _fraction_field(raw, field: str) -> Fraction:
-    try:
+    with _field(field):
         return as_fraction(raw)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ScenarioError(field, str(exc)) from exc
 
 
+# Each section's keys, in the order a file lists them.
 _SECTION_KEYS = {
-    "graph": frozenset({"n", "edges"}),
-    "weights": frozenset({"kind", "value", "by_edge"}),
-    "utility": frozenset({"a", "b"}),
-    "attacker_energy": frozenset({"kappa", "rho", "beta_normal", "beta_strong"}),
-    "defender_energy": frozenset({"kappa", "rho", "beta_recover"}),
-    "horizons": frozenset({"attacker", "defender"}),
-    "periods": frozenset({"attacker", "defender"}),
-    "cost_model": frozenset({"mode", "waste"}),
-    "tolerances": frozenset({"convergence_eps", "convergence_window", "cluster_tol"}),
-    "work_bounds": frozenset({"game", "theta"}),
+    "graph": ("n", "edges"),
+    "weights": ("kind", "value", "by_edge"),
+    "utility": ("a", "b"),
+    "attacker_energy": ("kappa", "rho", "beta_normal", "beta_strong"),
+    "defender_energy": ("kappa", "rho", "beta_recover"),
+    "horizons": ("attacker", "defender"),
+    "periods": ("attacker", "defender"),
+    "cost_model": ("mode", "waste"),
+    "tolerances": ("convergence_eps", "convergence_window", "cluster_tol"),
+    "work_bounds": ("game", "theta"),
 }
 _TOP_KEYS = {"format_version", "name", "description", "initial_state", "K", *_SECTION_KEYS}
+# How a run setting is read, by the type of its `Scenario` field.
+_READ_SETTING = {"int": _int_field, "Fraction": _fraction_field, "str": _str_field}
 
 
 def _object(data: dict, section: str, required: bool = False) -> dict:
@@ -192,7 +200,7 @@ def _object(data: dict, section: str, required: bool = False) -> dict:
     raw = _need(data, section) if required else data.get(section, {})
     if not isinstance(raw, dict):
         raise ScenarioError(section, f"expected a JSON object, got {raw!r}")
-    unknown = set(raw) - _SECTION_KEYS[section]
+    unknown = set(raw) - set(_SECTION_KEYS[section])
     if unknown:
         raise ScenarioError(f"{section}.{sorted(unknown)[0]}", "unknown field")
     return raw
@@ -200,6 +208,12 @@ def _object(data: dict, section: str, required: bool = False) -> dict:
 
 @unlimited_digits()
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario a file's JSON object describes; an omitted optional key takes its dataclass default.
+
+    Sections are checked in file order, the state length before anything is
+    built per agent. What ties sections together (periods against horizons,
+    weights against the graph) and the run settings are checked last.
+    """
     if not isinstance(data, dict):
         raise ScenarioError("<root>", "scenario must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -210,116 +224,76 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("format_version", f"unsupported version {version!r}")
 
     graph_raw = _object(data, "graph", required=True)
-    try:
+    with _field("graph"):
         n = _int_field(_need(graph_raw, "n", "graph"), "graph.n")
         edges = [tuple(_int_field(v, "graph.edges") for v in e) for e in _need(graph_raw, "edges", "graph")]
         graph = Graph.from_edges(n, edges)
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError("graph", str(exc)) from exc
 
     state_raw = _need(data, "initial_state")
     if not isinstance(state_raw, list):
         raise ScenarioError("initial_state", f"expected a JSON array, got {state_raw!r}")
-    try:
+    with _field("initial_state"):
         state = make_state(state_raw)
-    except Exception as exc:
-        raise ScenarioError("initial_state", str(exc)) from exc
     _check_state_length(state, graph.n)
 
     weights_raw = _object(data, "weights")
     kind = weights_raw.get("kind", "uniform")
-    try:
+    with _field("weights"):
         if kind == "uniform":
             if "by_edge" in weights_raw:
                 raise ScenarioError("weights.by_edge", "not used by uniform weights")
-            value = weights_raw.get("value")
-            weights = Weights.uniform(graph, as_fraction(value) if value is not None else None)
+            weights = Weights.uniform(graph, weights_raw.get("value"))
         elif kind == "matrix":
             if "value" in weights_raw:
                 raise ScenarioError("weights.value", "not used by matrix weights")
             by_edge = {
-                _parse_edge_key(k, "weights.by_edge"): as_fraction(v)
+                parse_edge_key(k, "weights.by_edge"): as_fraction(v)
                 for k, v in _need(weights_raw, "by_edge", "weights").items()
             }
             weights = Weights(graph.n, by_edge)
         else:
             raise ValueError(f"unknown weights kind {kind!r}")
-    except ScenarioError:
-        raise
-    except Exception as exc:
-        raise ScenarioError("weights", str(exc)) from exc
 
     util_raw = _object(data, "utility")
-    try:
-        util = UtilityWeights(
-            a=as_fraction(util_raw.get("a", 1)), b=as_fraction(util_raw.get("b", 0))
-        )
-    except Exception as exc:
-        raise ScenarioError("utility", str(exc)) from exc
+    with _field("utility"):
+        util = UtilityWeights(**util_raw)
 
-    att_raw = _object(data, "attacker_energy", required=True)
-    att = {k: _need(att_raw, k, "attacker_energy") for k in ("kappa", "rho", "beta_normal", "beta_strong")}
-    try:
-        attacker = EnergyParams.attacker(**att)
-    except Exception as exc:
-        raise ScenarioError("attacker_energy", str(exc)) from exc
-
-    def_raw = _object(data, "defender_energy", required=True)
-    dfn = {k: _need(def_raw, k, "defender_energy") for k in ("kappa", "rho", "beta_recover")}
-    try:
-        defender = EnergyParams.defender(**dfn)
-    except Exception as exc:
-        raise ScenarioError("defender_energy", str(exc)) from exc
+    energies = []
+    for section, make in (("attacker_energy", EnergyParams.attacker), ("defender_energy", EnergyParams.defender)):
+        raw = _object(data, section, required=True)
+        prices = {k: _need(raw, k, section) for k in _SECTION_KEYS[section]}
+        with _field(section):
+            energies.append(make(**prices))
 
     cadence = {}
-    for name in ("horizons", "periods"):
-        raw = _object(data, name, required=True)
-        for who in ("attacker", "defender"):
-            cadence[name, who] = _int_field(_need(raw, who, name), f"{name}.{who}")
+    for section in ("horizons", "periods"):
+        raw = _object(data, section, required=True)
+        cadence[section] = [_int_field(_need(raw, k, section), f"{section}.{k}") for k in _SECTION_KEYS[section]]
 
     cm_raw = _object(data, "cost_model")
-    mode = cm_raw.get("mode", EDGE_ATTACK)
-    waste = cm_raw.get("waste", WASTE_CHARGED)
-    if mode not in (EDGE_ATTACK, NODE_ATTACK):
-        raise ScenarioError("cost_model.mode", f"expected 'edge' or 'node', got {mode!r}")
-    if waste not in (WASTE_CHARGED, WASTE_FREE):
-        raise ScenarioError("cost_model.waste", f"expected 'charged' or 'free', got {waste!r}")
+    for key, allowed in (("mode", (EDGE_ATTACK, NODE_ATTACK)), ("waste", (WASTE_CHARGED, WASTE_FREE))):
+        if key in cm_raw and cm_raw[key] not in allowed:
+            raise ScenarioError(f"cost_model.{key}", f"expected {allowed[0]!r} or {allowed[1]!r}, got {cm_raw[key]!r}")
 
     tol_raw = _object(data, "tolerances")
     bounds_raw = _object(data, "work_bounds")
 
-    try:
-        schedule = Schedule(
-            cadence["periods", "attacker"], cadence["periods", "defender"],
-            cadence["horizons", "attacker"], cadence["horizons", "defender"],
-        )
-    except ValueError as exc:
-        raise ScenarioError("periods", str(exc)) from exc
-    try:
-        game = Game(graph, weights, util, schedule, attacker, defender, CostModel(mode=mode, waste=waste))
-    except ValueError as exc:
-        raise ScenarioError("weights", str(exc)) from exc
+    with _field("periods"):
+        schedule = Schedule(*cadence["periods"], *cadence["horizons"])
+    with _field("weights"):
+        game = Game(graph, weights, util, schedule, *energies, CostModel(**cm_raw))
 
-    return Scenario(
-        game=game,
-        initial_state=state,
-        K=_int_field(data.get("K", DEFAULT_K), "K"),
-        convergence_eps=_fraction_field(
-            tol_raw.get("convergence_eps", DEFAULT_CONVERGENCE_EPS), "tolerances.convergence_eps"
-        ),
-        convergence_window=_int_field(
-            tol_raw.get("convergence_window", DEFAULT_CONVERGENCE_WINDOW), "tolerances.convergence_window"
-        ),
-        cluster_tol=_fraction_field(tol_raw.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol"),
-        work_bound_game=_int_field(bounds_raw.get("game", DEFAULT_WORK_BOUND_GAME), "work_bounds.game"),
-        work_bound_theta=_int_field(
-            bounds_raw.get("theta", DEFAULT_WORK_BOUND_THETA), "work_bounds.theta"
-        ),
-        name=_str_field(data.get("name", ""), "name"),
-        description=_str_field(data.get("description", ""), "description"),
-    )
+    # Run settings in Scenario's field order, each read by its field's type.
+    given = {key: (data[key], key) for key in ("K", "name", "description") if key in data}
+    given.update({key: (value, f"tolerances.{key}") for key, value in tol_raw.items()})
+    given.update({f"work_bound_{key}": (value, f"work_bounds.{key}") for key, value in bounds_raw.items()})
+    settings = {f.name: _READ_SETTING[f.type](*given[f.name]) for f in fields(Scenario) if f.name in given}
+    return Scenario(game=game, initial_state=state, **settings)
+
+
+def _attributes(section: str, obj, write=_rational) -> dict:
+    """A section whose keys are attributes of `obj`, each value written by `write`."""
+    return {key: write(getattr(obj, key)) for key in _SECTION_KEYS[section]}
 
 
 @unlimited_digits()
@@ -333,7 +307,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     else:
         weights = {
             "kind": "matrix",
-            "by_edge": {_edge_key(e): _rational(v) for e, v in sorted(g.weights.by_edge.items())},
+            "by_edge": {edge_key(e): _rational(v) for e, v in sorted(g.weights.by_edge.items())},
         }
     return {
         "format_version": FORMAT_VERSION,
@@ -342,27 +316,14 @@ def scenario_to_dict(s: Scenario) -> dict:
         "graph": {"n": g.graph.n, "edges": [list(e) for e in g.graph.sorted_edges]},
         "initial_state": [_rational(x) for x in s.initial_state],
         "weights": weights,
-        "utility": {"a": _rational(g.util.a), "b": _rational(g.util.b)},
-        "attacker_energy": {
-            "kappa": _rational(g.attacker_energy.kappa),
-            "rho": _rational(g.attacker_energy.rho),
-            "beta_normal": _rational(g.attacker_energy.beta_normal),
-            "beta_strong": _rational(g.attacker_energy.beta_strong),
-        },
-        "defender_energy": {
-            "kappa": _rational(g.defender_energy.kappa),
-            "rho": _rational(g.defender_energy.rho),
-            "beta_recover": _rational(g.defender_energy.beta_recover),
-        },
+        "utility": _attributes("utility", g.util),
+        "attacker_energy": _attributes("attacker_energy", g.attacker_energy),
+        "defender_energy": _attributes("defender_energy", g.defender_energy),
         "horizons": {"attacker": sched.h_attacker, "defender": sched.h_defender},
         "periods": {"attacker": sched.T_attacker, "defender": sched.T_defender},
-        "cost_model": {"mode": g.cost_model.mode, "waste": g.cost_model.waste},
+        "cost_model": _attributes("cost_model", g.cost_model, write=str),
         "K": s.K,
-        "tolerances": {
-            "convergence_eps": _rational(s.convergence_eps),
-            "convergence_window": s.convergence_window,
-            "cluster_tol": _rational(s.cluster_tol),
-        },
+        "tolerances": _attributes("tolerances", s),
         "work_bounds": {"game": s.work_bound_game, "theta": s.work_bound_theta},
     }
 
@@ -378,6 +339,8 @@ def loads_scenario(text: str) -> Scenario:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("<file>", f"nested too deeply to read: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -256,6 +256,31 @@ def test_work_bound_zero_refuses_every_instance_at_the_gate(command, tmp_path, c
     assert "work bound exceeded" in capsys.readouterr().err
 
 
+def _argv(command, path, tmp_path):
+    return [command, str(path), "--json"] + (["--output", str(tmp_path / "out")] if command == "run" else [])
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "analyze"])
+@pytest.mark.parametrize(
+    "section, key", [("attacker_energy", "beta_normal"), ("attacker_energy", "beta_strong"), ("defender_energy", "beta_recover")]
+)
+def test_null_price_exits_2(command, section, key, tmp_path, capsys):
+    data = scenario_to_dict(small_scenario())
+    data[section][key] = None
+    path = tmp_path / "null_price.json"
+    path.write_text(json.dumps(data))
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == f"invalid scenario: {section}: {key} must be a price, got None\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "analyze"])
+def test_deeply_nested_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("invalid scenario: <file>: nested too deeply to read")
+
+
 class TestExactValuesOfAnySize:
     """Exact values longer than CPython's 4,300-digit int/str conversion limit are written and read back whole."""
 

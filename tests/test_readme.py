@@ -3,11 +3,13 @@
 import contextlib
 import dataclasses
 import io
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 from jamgame.game import solve_decision
+from jamgame.scenario import scenario_from_dict, scenario_to_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +36,11 @@ def test_readme_python_blocks_give_the_values_their_comments_state():
     known = after[2]["known"]
     assert after[2]["plan"].utility == Fraction(410, 27)
     assert solve_decision(dataclasses.replace(known, known=())).utility == Fraction(374, 27)
+
+
+def test_readme_scenario_example_is_the_fully_materialized_form():
+    (block,) = re.findall(r"^```json\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    example = json.loads(block)
+    materialized = scenario_to_dict(scenario_from_dict(example))
+    assert list(materialized) == list(example)
+    assert materialized == example

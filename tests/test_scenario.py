@@ -220,6 +220,38 @@ class TestValidation:
             scenario_from_dict(d)
         assert e.value.field == field
 
+    @pytest.mark.parametrize(
+        "section, key", [("attacker_energy", "beta_normal"), ("attacker_energy", "beta_strong"), ("defender_energy", "beta_recover")]
+    )
+    def test_null_price_rejected(self, section, key):
+        d = scenario_to_dict(sample())
+        d[section][key] = None
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert str(e.value) == f"{section}: {key} must be a price, got None"
+
+    def test_required_keys_alone_load_with_the_documented_defaults(self):
+        required = {
+            "graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+            "initial_state": [1, 2, 3],
+            "attacker_energy": {"kappa": "3/2", "rho": "3/2", "beta_normal": 1, "beta_strong": 2},
+            "defender_energy": {"kappa": "1/2", "rho": "1/2", "beta_recover": 1},
+            "horizons": {"attacker": 3, "defender": 2},
+            "periods": {"attacker": 1, "defender": 2},
+        }
+        assert scenario_to_dict(scenario_from_dict(required)) == {
+            **required,
+            "format_version": 1,
+            "name": "",
+            "description": "",
+            "weights": {"kind": "uniform", "value": "1/3"},
+            "utility": {"a": 1, "b": 0},
+            "cost_model": {"mode": "edge", "waste": "charged"},
+            "K": 500,
+            "tolerances": {"convergence_eps": "1/1000000000", "convergence_window": 10, "cluster_tol": "1/1000000"},
+            "work_bounds": {"game": 30, "theta": 16},
+        }
+
     def test_state_length_checked_before_per_agent_work(self):
         d = scenario_to_dict(bundled_scenario("case1"))
         d["graph"]["n"] = 1000
@@ -241,13 +273,20 @@ class TestValidation:
         else:
             target[last] = data.draw(json_values)
         try:
-            scenario_from_dict(d)
+            s = scenario_from_dict(d)
         except ScenarioError:
-            pass
+            return
+        assert scenario_from_dict(scenario_to_dict(s)) == s
 
     @pytest.mark.parametrize(
         "kind, content",
-        [("directory", None), ("missing", None), ("utf16", b"\xff\xfe{\x00}\x00"), ("latin1", b'{"name": "\xe9"}')],
+        [
+            ("directory", None),
+            ("missing", None),
+            ("utf16", b"\xff\xfe{\x00}\x00"),
+            ("latin1", b'{"name": "\xe9"}'),
+            pytest.param("nested", b"[" * 100_000 + b"]" * 100_000, id="nested"),
+        ],
     )
     def test_unreadable_file_rejected(self, tmp_path, kind, content):
         path = tmp_path if kind == "directory" else tmp_path / f"{kind}.json"
