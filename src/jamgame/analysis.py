@@ -3,19 +3,20 @@
 The condition report and the cluster bound are pure functions of the scenario
 configuration; nothing here runs the game. The brute-force solver enumerates
 whole plans and exists to cross-check the backward-induction solver: the two
-share only the opponent information structure (`Schedule.knows` and
-`Schedule.supplier`), the step payoff and the tie-break rule, never the search.
+share only the game's rules, never the search. Those rules are the action
+catalogs (`_attack_catalog`, `_defense_catalog`), the affordability rule
+(`_affordable`), the opponent information structure (`Schedule.knows` and
+`Schedule.supplier`), the step payoff and the tie-break rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import State, consensus_step, detect_clusters
-from .energy import EDGE_ATTACK, NODE_ATTACK, CostModel, EnergyParams, budget_at, defense_cost
+from .energy import EDGE_ATTACK, NODE_ATTACK, budget_at, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
@@ -24,6 +25,9 @@ from .game import (
     Game,
     Plan,
     SolveContext,
+    _affordable,
+    _attack_catalog,
+    _defense_catalog,
     opponent,
     step_payoff,
     tie_break,
@@ -260,32 +264,6 @@ def consensus_verdict(trace: Trace) -> ConsensusVerdict:
 # --- brute-force plan search ----------------------------------------------------
 
 
-def _all_attacks(g: Graph, cm: CostModel, params: EnergyParams) -> list[tuple[AttackAction, Fraction]]:
-    out = []
-    if cm.mode == NODE_ATTACK:
-        for marks in itertools.product((None, "normal", "strong"), repeat=g.n):
-            strong_nodes = frozenset(v for v, m in zip(range(1, g.n + 1), marks) if m == "strong")
-            normal_nodes = frozenset(v for v, m in zip(range(1, g.n + 1), marks) if m == "normal")
-            strong = g.incident_edges(strong_nodes)
-            normal = g.incident_edges(normal_nodes) - strong
-            out.append(AttackAction(strong, normal, strong_nodes=strong_nodes, normal_nodes=normal_nodes))
-    else:
-        for marks in itertools.product((None, "normal", "strong"), repeat=len(g.edges)):
-            strong = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "strong")
-            normal = frozenset(e for e, m in zip(g.sorted_edges, marks) if m == "normal")
-            out.append(AttackAction(strong, normal))
-    return [(a, a.cost(params)) for a in out]
-
-
-def _all_defenses(g: Graph) -> list[DefenseAction]:
-    edges = g.sorted_edges
-    out = []
-    for i in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, i):
-            out.append(DefenseAction(frozenset(combo)))
-    return out
-
-
 class _Budget:
     def __init__(self, bound: int):
         self.bound = bound
@@ -315,21 +293,14 @@ class _BruteForce:
         self.att_p = game.attacker_energy
         self.def_p = game.defender_energy
         self.w_end = game.schedule.window_end(ctx.mover, ctx.t0)
-        self.attacks = _all_attacks(self.g, self.cm, self.att_p)
-        self.defenses = _all_defenses(self.g)
 
     def _feasible_attacks(self, t: int, sa: Fraction):
-        limit = budget_at(self.att_p, t) - sa
-        return [(a, c) for a, c in self.attacks if c <= limit or a.size == 0]
+        catalog = _attack_catalog(self.g, self.cm.mode, self.att_p)
+        return _affordable(catalog, budget_at(self.att_p, t) - sa)
 
     def _feasible_defenses(self, t: int, sd: Fraction, normal: frozenset[Edge]):
-        limit = budget_at(self.def_p, t) - sd
-        out = []
-        for d in self.defenses:
-            cost, _ = defense_cost(d.recover, normal, self.cm, self.def_p)
-            if cost <= limit or d.size == 0:
-                out.append((d, cost))
-        return out
+        priced = ((defense_cost(d.recover, normal, self.cm, self.def_p)[0], d) for d in _defense_catalog(self.g))
+        return _affordable(priced, budget_at(self.def_p, t) - sd)
 
     def _step(self, x: State, attack: AttackAction, defense: DefenseAction):
         resolved = apply_actions(self.g, attack.strong, attack.normal, defense.recover)
@@ -344,7 +315,7 @@ class _BruteForce:
 
     def _predict_defense(self, t, x, sa, sd, end, attack, cost_a):
         cands = []
-        for d, cost_d in self._feasible_defenses(t, sd, attack.normal):
+        for cost_d, d in self._feasible_defenses(t, sd, attack.normal):
             x1, payoff = self._step(x, attack, d)
             tail = self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
             cands.append(((d, cost_d), -payoff - tail))
@@ -353,7 +324,7 @@ class _BruteForce:
 
     def _predict_attack(self, t, x, sa, sd, end):
         cands = []
-        for a, cost_a in self._feasible_attacks(t, sa):
+        for cost_a, a in self._feasible_attacks(t, sa):
             d, cost_d = self._predict_defense(t, x, sa, sd, end, a, cost_a)
             x1, payoff = self._step(x, a, d)
             tail = self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
@@ -366,7 +337,7 @@ class _BruteForce:
             self.work.tick()
             return Fraction(0)
         best = None
-        for a, cost_a in self._feasible_attacks(t, sa):
+        for cost_a, a in self._feasible_attacks(t, sa):
             d, cost_d = self._predict_defense(t, x, sa, sd, end, a, cost_a)
             x1, payoff = self._step(x, a, d)
             val = payoff + self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
@@ -397,13 +368,13 @@ class _BruteForce:
             found.append((tuple(steps), total))
             return
         if self.ctx.mover == ATTACKER:
-            for a, cost_a in self._feasible_attacks(t, sa):
+            for cost_a, a in self._feasible_attacks(t, sa):
                 d, cost_d = self._opponent_at(t, x, sa, sd, mover_action=a, mover_cost=cost_a)
                 x1, payoff = self._step(x, a, d)
                 self._extend(t + 1, x1, sa + cost_a, sd + cost_d, steps + [a], total + payoff, found)
         else:
             a, cost_a = self._opponent_at(t, x, sa, sd)
-            for d, cost_d in self._feasible_defenses(t, sd, a.normal):
+            for cost_d, d in self._feasible_defenses(t, sd, a.normal):
                 x1, payoff = self._step(x, a, d)
                 self._extend(t + 1, x1, sa + cost_a, sd + cost_d, steps + [d], total - payoff, found)
 
@@ -422,7 +393,7 @@ class _BruteForce:
             chosen = tie_break(sorted(options, key=lambda a: a.sort_key), self.game, mover, t, self.w_end, spent)
             plans = [p for p in plans if p[i] == chosen]
             if mover == ATTACKER:
-                cost_m = next(c for a, c in self.attacks if a == chosen)
+                cost_m = chosen.cost(self.att_p)
                 d, cost_o = self._opponent_at(t, x, sa, sd, mover_action=chosen, mover_cost=cost_m)
                 x, _ = self._step(x, chosen, d)
                 sa, sd = sa + cost_m, sd + cost_o

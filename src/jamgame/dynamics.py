@@ -17,14 +17,25 @@ from fractions import Fraction
 from .network import Edge, Graph, Partition
 
 State = tuple[Fraction, ...]
+MAX_DECIMAL_EXPONENT = 100_000
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, floats, strings like '3/2', and Fractions to exact Fraction."""
+    """Coerce ints, floats, strings like '3/2' or '1.5e-3', and Fractions to exact Fraction.
+
+    A decimal string's exponent is built as a whole power of ten, so one
+    of magnitude above MAX_DECIMAL_EXPONENT is refused rather than built.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not numeric values here")
+    if isinstance(value, str):
+        marker, exponent = value.lower().rpartition("e")[1:]
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))  # read no huge exponent as an int
+        if marker and digits.isdecimal() and (too_long or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"decimal exponent of magnitude above {MAX_DECIMAL_EXPONENT}")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact number")

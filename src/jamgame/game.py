@@ -329,6 +329,16 @@ def _defense_catalog(g: Graph):
     return tuple(out)
 
 
+def _affordable(priced, limit) -> tuple:
+    """The (price, action) pairs a player with `limit` left can pay for, in the order given.
+
+    The empty action is always affordable, even past the budget line. Generic
+    over the number type, so the solver's integer numerators and the oracle's
+    Fractions share it.
+    """
+    return tuple((c, a) for c, a in priced if c <= limit or a.size == 0)
+
+
 def step_payoff(x_next: State, g_resolved: Graph, w: UtilityWeights) -> Fraction:
     """Attacker-side step summand a*disagreement(x_next) - b*group_index(g_resolved).
 
@@ -420,7 +430,7 @@ class _Prices:
     Prices, spends and budget lines are integer numerators over M. The table
     holds the attack catalog with its prices, which `attack_prices` also maps
     from action to price, the defense catalog, the budget, defense-price and
-    sustain memos, and the affordability-filtered option lists. Attack prices
+    sustain memos, and the option lists `_affordable` filters. Attack prices
     come from `AttackAction.cost` when the catalog is built; each memo calls
     its rule (`budget_at`, `defense_cost`, and `_sustainable` on the maximal
     action's price) once per distinct argument. No rule is restated here.
@@ -479,7 +489,7 @@ class _Prices:
         limit = self.budget(ATTACKER, t) - sa
         hit = self._att_options.get(limit)
         if hit is None:
-            hit = self._att_options[limit] = tuple((c, a) for c, a in self.att_catalog if c <= limit or a.size == 0)
+            hit = self._att_options[limit] = _affordable(self.att_catalog, limit)
         return hit
 
     def defenses(self, t: int, sd: int, normal: frozenset[Edge]):
@@ -488,7 +498,7 @@ class _Prices:
         hit = self._def_options.get(key)
         if hit is None:
             priced = ((self.defense_price(d.recover, normal), d) for d in self.def_catalog)
-            hit = self._def_options[key] = tuple((c, d) for c, d in priced if c <= limit or d.size == 0)
+            hit = self._def_options[key] = _affordable(priced, limit)
         return hit
 
 

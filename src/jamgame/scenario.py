@@ -242,7 +242,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if kind == "uniform":
             if "by_edge" in weights_raw:
                 raise ScenarioError("weights.by_edge", "not used by uniform weights")
-            weights = Weights.uniform(graph, weights_raw.get("value"))
+            given = {"value": as_fraction(weights_raw["value"])} if "value" in weights_raw else {}
+            weights = Weights.uniform(graph, **given)
         elif kind == "matrix":
             if "value" in weights_raw:
                 raise ScenarioError("weights.value", "not used by matrix weights")
@@ -336,9 +337,11 @@ def dumps_scenario(s: Scenario) -> str:
 @unlimited_digits()
 def loads_scenario(text: str) -> Scenario:
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=as_fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number as_fraction refuses
+        raise ScenarioError("<file>", str(exc)) from exc
     except RecursionError as exc:
         raise ScenarioError("<file>", f"nested too deeply to read: {exc}") from exc
     return scenario_from_dict(data)

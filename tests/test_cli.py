@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import jamgame
 from jamgame.cli import main, read_run, summarize, write_plans_csv, write_trace_csv
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
@@ -279,6 +283,32 @@ def test_deeply_nested_file_exits_2(command, tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert main(_argv(command, path, tmp_path)) == 2
     assert capsys.readouterr().err.startswith("invalid scenario: <file>: nested too deeply to read")
+
+
+def _jamgame(*args):
+    """`jamgame` in a child process, so an input that hangs it fails the test instead of stalling the suite."""
+    src = str(Path(jamgame.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    cmd = [sys.executable, "-m", "jamgame.cli", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
+
+
+@pytest.mark.parametrize("value", ['"1e999999999"', "1e999999999", '"1e-999999999"'], ids=["string", "number", "negative"])
+def test_huge_decimal_exponent_exits_2(value, tmp_path):
+    text = dumps_scenario(small_scenario())
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"cluster_tol": "1/1000000"', f'"cluster_tol": {value}'))
+    assert path.read_text() != text
+    done = _jamgame("validate", str(path))
+    assert done.returncode == 2
+    assert "decimal exponent of magnitude above 100000" in done.stderr
+
+
+def test_huge_decimal_exponent_in_a_grid_exits_2(scenario_file, tmp_path):
+    done = _jamgame("sweep", str(scenario_file), "--grid", "rho_attacker=1,1e999999999", "--output", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid scenario: grid: bad value in grid axis")
+    assert "decimal exponent of magnitude above 100000" in done.stderr
 
 
 class TestExactValuesOfAnySize:

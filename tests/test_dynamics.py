@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame.dynamics import (
+    MAX_DECIMAL_EXPONENT,
     Weights,
+    as_fraction,
     consensus_step,
     detect_clusters,
     make_state,
@@ -28,6 +30,17 @@ state_strategy = st.lists(
 def graph_for_state(x, draw_edges):
     n = len(x)
     return Graph.from_edges(n, draw_edges)
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_decimal_exponent_is_capped(self, sign):
+        # The cap bounds the exponent itself: leading zeros do not count, and a mantissa of 0 is no exemption.
+        assert as_fraction(f"1e{sign}{MAX_DECIMAL_EXPONENT}") == Fraction(10) ** int(f"{sign}{MAX_DECIMAL_EXPONENT}")
+        assert as_fraction(f"2.5E{sign}0000010") == Fraction(5, 2) * Fraction(10) ** int(f"{sign}10")
+        for beyond in (f"1e{sign}{MAX_DECIMAL_EXPONENT + 1}", f"0E{sign}00{MAX_DECIMAL_EXPONENT + 1}", "1e" + sign + "9" * 10**6):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                as_fraction(beyond)
 
 
 class TestWeights:

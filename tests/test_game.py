@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamgame.analysis import _Budget, _BruteForce
 from jamgame.dynamics import Weights, consensus_step, make_state, state_difference
 from jamgame.energy import CostModel, EnergyParams
 from jamgame.game import (
@@ -103,6 +104,16 @@ def solver_defenses(ctx, step_time, attacked_normal=frozenset()):
     return [d for _, d in solver._defenses(step_time, int(ctx.defender_spent * solver.M), attacked_normal)]
 
 
+def oracle_attacks(ctx, step_time):
+    """Attack actions the brute-force oracle keeps at step_time, given ctx's spend so far."""
+    return [a for _, a in _BruteForce(ctx, _Budget(1))._feasible_attacks(step_time, ctx.attacker_spent)]
+
+
+def oracle_defenses(ctx, step_time, attacked_normal=frozenset()):
+    """Recovery actions the brute-force oracle keeps at step_time against attacked_normal."""
+    return [d for _, d in _BruteForce(ctx, _Budget(1))._feasible_defenses(step_time, ctx.defender_spent, attacked_normal)]
+
+
 class TestEnumerateAttacks:
     def test_two_edges_unconstrained_gives_nine(self):
         ctx = make_ctx()
@@ -137,6 +148,12 @@ class TestEnumerateAttacks:
         assert first == sorted(canonical, key=lambda a: -a.cost(ABUNDANT))
         assert first[0] == attack(strong=[(1, 2), (2, 3)]) and first[-1] == attack()
 
+    @pytest.mark.parametrize("mode", ["edge", "node"])
+    def test_spend_above_the_budget_line_leaves_only_the_empty_attack(self, mode):
+        ctx = make_ctx(cost_model=CostModel(mode=mode), attacker_spent=150)
+        assert solver_attacks(ctx, 0) == [attack()]
+        assert oracle_attacks(ctx, 0) == [attack()]
+
     def test_node_mode_strong_center_takes_both_edges(self):
         ctx = make_ctx(cost_model=CostModel(mode="node"))
         actions = solver_attacks(ctx, 0)
@@ -166,6 +183,22 @@ class TestActionKeys:
             assert d.size == len(d.recover)
             assert d.sort_key == (tuple(sorted(d.recover)),)
 
+    @pytest.mark.parametrize("graph", [PATH3, CYCLE4], ids=["path3", "cycle4"])
+    @pytest.mark.parametrize("mode", ["edge", "node"])
+    def test_catalogs_hold_each_action_once(self, graph, mode):
+        # The solver and the oracle both enumerate these catalogs, so they are checked here directly.
+        attacks = [a for _, a in _attack_catalog(graph, mode, ABUNDANT)]
+        items = graph.n if mode == "node" else len(graph.edges)
+        assert len(set(attacks)) == len(attacks) == 3**items
+        for a in attacks:
+            if mode == "node":
+                assert a.strong == graph.incident_edges(a.strong_nodes)
+                assert a.normal == graph.incident_edges(a.normal_nodes) - a.strong
+            else:
+                assert not a.strong_nodes and not a.normal_nodes
+        defenses = _defense_catalog(graph)
+        assert len({d.recover for d in defenses}) == len(defenses) == 2 ** len(graph.edges)
+
 
 class TestEnumerateDefenses:
     def test_power_set_when_affordable(self):
@@ -181,6 +214,13 @@ class TestEnumerateDefenses:
         scarce = EnergyParams.defender(kappa="0.5", rho="0.5", beta_recover=1)
         ctx = make_ctx(defender=scarce)
         assert solver_defenses(ctx, 0) == [defense()]
+
+    @pytest.mark.parametrize("waste", ["charged", "free"])
+    def test_spend_above_the_budget_line_leaves_only_the_empty_defense(self, waste):
+        ctx = make_ctx(cost_model=CostModel(waste=waste), defender_spent=150)
+        normal = frozenset({(1, 2), (2, 3)})
+        assert solver_defenses(ctx, 0, normal) == [defense()]
+        assert oracle_defenses(ctx, 0, normal) == [defense()]
 
     def test_free_waste_prices_only_hits(self):
         scarce = EnergyParams.defender(kappa="0.5", rho="0.5", beta_recover=1)

@@ -230,6 +230,14 @@ class TestValidation:
             scenario_from_dict(d)
         assert str(e.value) == f"{section}: {key} must be a price, got None"
 
+    def test_null_uniform_weight_rejected(self):
+        # An omitted value takes the default 1/n; a null one is refused, as a null price is.
+        d = scenario_to_dict(sample())
+        d["weights"] = {"kind": "uniform", "value": None}
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert str(e.value) == "weights: cannot interpret None as an exact number"
+
     def test_required_keys_alone_load_with_the_documented_defaults(self):
         required = {
             "graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
