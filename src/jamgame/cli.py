@@ -249,11 +249,11 @@ def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...
                     defense_effective=_edges_parse(row["recover_effective"]),
                     resolved_edges=_edges_parse(row["resolved"]),
                     state=make_state([row[f"x{i}"] for i in range(1, scenario.game.graph.n + 1)]),
-                    attacker_spent=Fraction(row["attacker_spent"]),
-                    attacker_wasted=Fraction(row["attacker_wasted"]),
-                    defender_spent=Fraction(row["defender_spent"]),
-                    defender_wasted=Fraction(row["defender_wasted"]),
-                    payoff=Fraction(row["payoff"]),
+                    attacker_spent=as_fraction(row["attacker_spent"]),
+                    attacker_wasted=as_fraction(row["attacker_wasted"]),
+                    defender_spent=as_fraction(row["defender_spent"]),
+                    defender_wasted=as_fraction(row["defender_wasted"]),
+                    payoff=as_fraction(row["payoff"]),
                 )
             )
     return tuple(steps), converged_at
@@ -275,7 +275,7 @@ def read_plans_csv(path: Path) -> tuple[Plan, ...]:
                     decision_index=int(row["decision_index"]),
                     start_time=int(row["start_time"]),
                     steps=steps,
-                    utility=Fraction(row["utility"]),
+                    utility=as_fraction(row["utility"]),
                 )
             )
     return tuple(plans)

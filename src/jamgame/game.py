@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .dynamics import State, Weights, as_fraction, consensus_update, make_state, state_difference
@@ -429,77 +429,62 @@ class _Prices:
 
     Prices, spends and budget lines are integer numerators over M. The table
     holds the attack catalog with its prices, which `attack_prices` also maps
-    from action to price, the defense catalog, the budget, defense-price and
-    sustain memos, and the option lists `_affordable` filters. Attack prices
-    come from `AttackAction.cost` when the catalog is built; each memo calls
-    its rule (`budget_at`, `defense_cost`, and `_sustainable` on the maximal
-    action's price) once per distinct argument. No rule is restated here.
+    from action to price, the defense catalog, and memos of budget lines,
+    defense prices, the sustain test and option lists. Attack prices come
+    from `AttackAction.cost` when the catalog is built; each memo is a
+    `functools.cache` over its rule (`budget_at`, `defense_cost`,
+    `_sustainable` on the maximal action's price, `_affordable`), so no rule
+    is restated here. The memos close over locals, never over the table, so
+    no reference cycle keeps a table or its step cache alive.
 
     An option list depends only on the slack `limit = budget(t) - spend`
     and, for defenses, on the normally attacked edges that price them, so
-    `attacks` keys its lists by `limit` and `defenses` by `(limit, normal)`:
-    every (t, spend) with equal slack shares one list. The lists run from the
-    dearest attack to the cheapest and from the largest recovery set to the
-    smallest, each in canonical order within a price or size; the order is
-    fixed when the table is built. Strong moves first give a predicted
-    player's cutoffs a tight bound early. Order never changes a result:
-    `_prefers` is a strict total order on equal values, so a best-response
-    loop picks the same action in any visit order.
+    `attacks(t, sa)` reads a list cached by `limit` and `defenses(t, sd,
+    normal)` one cached by `(limit, normal)`: every (t, spend) with equal
+    slack shares one list. The lists run from the dearest attack to the
+    cheapest and from the largest recovery set to the smallest, each in
+    canonical order within a price or size; the order is fixed when the
+    table is built. Strong moves first give a predicted player's cutoffs a
+    tight bound early. Order never changes a result: `_prefers` is a strict
+    total order on equal values, so a best-response loop picks the same
+    action in any visit order.
     """
 
     def __init__(self, game: Game, M: int):
-        self.game, self.M = game, M
+        self.M = M
         priced = ((_over(c, M), a) for c, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy))
-        self.att_catalog = tuple(sorted(priced, key=lambda ca: -ca[0]))
-        self.attack_prices = {a: c for c, a in self.att_catalog}
-        self.def_catalog = tuple(sorted(_defense_catalog(game.graph), key=lambda d: -d.size))
-        self._full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
-        self._budgets: dict = {}
-        self._defense_prices: dict = {}
-        self._sustains: dict = {}
-        self._att_options: dict = {}
-        self._def_options: dict = {}
+        self.att_catalog = att_catalog = tuple(sorted(priced, key=lambda ca: -ca[0]))
+        self.attack_prices = {a: c for c, a in att_catalog}
+        self.def_catalog = def_catalog = tuple(sorted(_defense_catalog(game.graph), key=lambda d: -d.size))
+        full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
 
-    def budget(self, player: str, t: int) -> int:
-        key = (player, t)
-        hit = self._budgets.get(key)
-        if hit is None:
-            hit = self._budgets[key] = _over(budget_at(self.game.energy(player), t), self.M)
-        return hit
+        @cache
+        def budget(player: str, t: int) -> int:
+            return _over(budget_at(game.energy(player), t), M)
 
-    def defense_price(self, recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
-        key = (recover, normal)
-        hit = self._defense_prices.get(key)
-        if hit is None:
-            cost, _ = defense_cost(recover, normal, self.game.cost_model, self.game.defender_energy)
-            hit = self._defense_prices[key] = _over(cost, self.M)
-        return hit
+        @cache
+        def defense_price(recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
+            return _over(defense_cost(recover, normal, game.cost_model, game.defender_energy)[0], M)
 
-    def sustain(self, player: str, spent: int, t: int, end: int) -> bool:
-        key = (player, spent, t, end)
-        hit = self._sustains.get(key)
-        if hit is None:
-            hit = _sustainable(spent, self._full_cost[player], t, end, lambda s: self.budget(player, s))
-            self._sustains[key] = hit
-        return hit
+        @cache
+        def sustain(player: str, spent: int, t: int, end: int) -> bool:
+            return _sustainable(spent, full_cost[player], t, end, lambda s: budget(player, s))
 
-    # feasible candidates at absolute time t
+        attack_options = cache(lambda limit: _affordable(att_catalog, limit))
 
-    def attacks(self, t: int, sa: int):
-        limit = self.budget(ATTACKER, t) - sa
-        hit = self._att_options.get(limit)
-        if hit is None:
-            hit = self._att_options[limit] = _affordable(self.att_catalog, limit)
-        return hit
+        @cache
+        def defense_options(limit: int, normal: frozenset[Edge]):
+            return _affordable(((defense_price(d.recover, normal), d) for d in def_catalog), limit)
 
-    def defenses(self, t: int, sd: int, normal: frozenset[Edge]):
-        limit = self.budget(DEFENDER, t) - sd
-        key = (limit, normal)
-        hit = self._def_options.get(key)
-        if hit is None:
-            priced = ((self.defense_price(d.recover, normal), d) for d in self.def_catalog)
-            hit = self._def_options[key] = _affordable(priced, limit)
-        return hit
+        # feasible candidates at absolute time t
+
+        def attacks(t: int, sa: int):
+            return attack_options(budget(ATTACKER, t) - sa)
+
+        def defenses(t: int, sd: int, normal: frozenset[Edge]):
+            return defense_options(budget(DEFENDER, t) - sd, normal)
+
+        self.defense_price, self.sustain, self.attacks, self.defenses = defense_price, sustain, attacks, defenses
 
 
 class StepCache:
@@ -531,7 +516,7 @@ class StepCache:
         )
         self._resolved: dict = {}
         self._next: dict = {}
-        self._prices: dict = {}
+        self.prices = cache(lambda M: _Prices(game, M))
 
     def step(self, x: Numerators, attack: AttackAction, defense: DefenseAction):
         """Apply one resolved step to the numerators x over s.
@@ -551,13 +536,6 @@ class StepCache:
         if hit is None:
             x1 = consensus_update(x, weighted, self.scale)
             hit = self._next[skey] = (x1, state_difference(x1), gi)
-        return hit
-
-    def prices(self, M: int) -> _Prices:
-        """The pricing table over money scale M."""
-        hit = self._prices.get(M)
-        if hit is None:
-            hit = self._prices[M] = _Prices(self.game, M)
         return hit
 
 

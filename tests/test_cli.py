@@ -285,12 +285,15 @@ def test_deeply_nested_file_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid scenario: <file>: nested too deeply to read")
 
 
-def _jamgame(*args):
-    """`jamgame` in a child process, so an input that hangs it fails the test instead of stalling the suite."""
+def _python(*args):
+    """Python with jamgame importable, in a child process, so an input that hangs it fails the test instead of stalling the suite."""
     src = str(Path(jamgame.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    cmd = [sys.executable, "-m", "jamgame.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=30, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=30, env=env)
+
+
+def _jamgame(*args):
+    return _python("-m", "jamgame.cli", *args)
 
 
 @pytest.mark.parametrize("value", ['"1e999999999"', "1e999999999", '"1e-999999999"'], ids=["string", "number", "negative"])
@@ -309,6 +312,24 @@ def test_huge_decimal_exponent_in_a_grid_exits_2(scenario_file, tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("invalid scenario: grid: bad value in grid axis")
     assert "decimal exponent of magnitude above 100000" in done.stderr
+
+
+@pytest.mark.parametrize(("name", "column"), [("trace.csv", "payoff"), ("plans.csv", "utility")])
+def test_huge_decimal_exponent_in_a_run_file_is_refused(name, column, tmp_path, capsys):
+    assert main(["run", "case1", "--output", str(tmp_path)]) == 0
+    path = tmp_path / name
+    lines = path.read_text().splitlines(keepends=True)
+    skip = 2 if name == "trace.csv" else 0  # the trace's version and convergence lines
+    rows = list(csv.reader(lines[skip:]))
+    rows[1][rows[0].index(column)] = "1e999999999"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines[:skip])
+        csv.writer(fh).writerows(rows)
+    code = "import sys, pathlib; from jamgame.cli import read_run; from jamgame.scenario import bundled_scenario; "
+    code += "read_run(pathlib.Path(sys.argv[1]), bundled_scenario('case1'))"
+    done = _python("-c", code, str(tmp_path))
+    assert done.returncode == 1
+    assert "ValueError: decimal exponent of magnitude above 100000" in done.stderr
 
 
 class TestExactValuesOfAnySize:

@@ -659,6 +659,22 @@ class TestSolverLifetime:
         finally:
             gc.enable()
 
+    def test_step_cache_and_its_pricing_table_are_freed_without_the_cycle_collector(self):
+        # The pricing memos close over locals; one that closed over its table
+        # would tie the table, and the run's step cache with it, into a cycle.
+        scenario = bundled_scenario("case1")
+        ctx = SolveContext(scenario.game, scenario.initial_state, 0, ATTACKER)
+        gc.disable()
+        try:
+            cache = StepCache(scenario.game)
+            solve_decision(ctx, cache)
+            prices = cache.prices(cache.money_scale)
+            refs = weakref.ref(cache), weakref.ref(prices)
+            del cache, prices
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
 
 def model_value(ctx) -> Fraction:
     """Attacker-side value of the predicted model over the mover's whole window."""

@@ -112,6 +112,26 @@ def test_case2_run_artifacts_under_other_cost_models_are_byte_identical(cost_mod
     assert digests == golden
 
 
+# case2 with utility.b = 1/2; every bundled scenario has b = 0, so only this
+# run prices the group index into payoffs and plan utilities (and L = 2 into Q).
+GROUP_INDEX_GOLDEN = {
+    "trace.csv": "4687f4263ca84794fb4daea27f4135c114402a4b22673512b5b67354793ab3a7",
+    "plans.csv": "2af18209297663a31f465f12a55b5d64f9b38f33e71a1c620a65dec14c5abce3",
+    "summary.json": "2687411e8fe8feccaac612299182b75ec778be903c0124bc4a3004ac42a11293",
+}
+
+
+def test_case2_run_artifacts_with_group_index_weight_are_byte_identical(tmp_path):
+    data = scenario_to_dict(bundled_scenario("case2"))
+    data.update(name="case2_b_half", utility={"a": 1, "b": "1/2"})
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--output", str(tmp_path / "out"), "--json"]) == 0
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in GROUP_INDEX_GOLDEN}
+    assert digests == GROUP_INDEX_GOLDEN
+
+
 ANALYZE_GOLDEN = {
     "case1": "ffdd2de27fe5c1abe836d50989e799b3f86cda4e55714a5dc618363eba6202d2",
     "case2": "ff4aaa2162c8164c7f907ac8cb45e606c433d9d668c93cd2d2bc5a04282a22b5",
