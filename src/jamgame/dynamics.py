@@ -74,7 +74,7 @@ class Weights:
     @classmethod
     def uniform(cls, g: Graph, value=None) -> Weights:
         """Equal weight on every base edge; default value 1/n."""
-        a = Fraction(1, g.n) if value is None else as_fraction(value)
+        a = Fraction(1) / g.n if value is None else as_fraction(value)
         return cls(g.n, {e: a for e in g.sorted_edges})
 
 

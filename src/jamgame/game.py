@@ -576,8 +576,19 @@ class _Solver:
     that game's. The solver holds no reference to itself, so it is freed as
     soon as its decision returns.
 
-    Predicted nodes (`end` set) are pruned, exactly; the mover's own window is
-    not, since its predicted opponent there optimizes another objective.
+    Every cut below is exact. The mover's own window has no alpha-beta
+    cutoffs, since its predicted opponent there optimizes another objective.
+    * With `b = 0`, the attacker mover at step t < w_end skips an attack whose
+      contraction bound is strictly below its best value so far. `Weights`
+      keeps every row sum below 1, so no consensus step raises the
+      disagreement, and `_dis_weight` shrinks by D^2 a step as the
+      numerators' scale grows by D: every later summand of the window is at
+      most step t's. The tail is therefore at most (w_end - t + 1) times the
+      largest step-t payoff over the defenses `_answer` may give, the known
+      one or every affordable one. The probe reads only the step cache; at
+      t = w_end it would repeat `_answer`'s own work, so the last step is
+      searched in full. With `b > 0` the fragmentation term can rise along
+      the window, so the bound is not used.
     * A predicted defender that cannot sustain its maximal action
       (`want_more` false) skips every recovery set E ∪ W with W outside the
       normally attacked edges: it steps exactly as E does and costs at least
@@ -589,8 +600,9 @@ class _Solver:
       its best value so far, less the step payoff, to the next step's `value`
       as a `cut`, and the attacker stops at its first value above it. Only
       strict inequalities cut, because equal values go to `_prefers`.
-    A cut result is a bound, not a value: neither `_values` nor `_responses`
-    keeps it, so `_answer` and the plan walk read exact entries only.
+    An alpha-beta cut result is a bound, not a value: neither `_values` nor
+    `_responses` keeps it, so `_answer` and the plan walk read exact entries
+    only.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
@@ -662,9 +674,12 @@ class _Solver:
     def _attack(self, t, x, sa, sd, end, cut):
         """(value, attack) of the attacker's best response at t, or a bound above `cut`."""
         want_more = self._sustain(ATTACKER, sa, t, self.w_end if end is None else end)
+        bounded = end is None and t < self.w_end and self._gi_weight == 0
         best = None
         for cost_a, atk in self._attacks(t, sa):
             if end is None:
+                if bounded and best is not None and (self.w_end - t + 1) * self._payoff_bound(t, x, sd, atk) < best[0]:
+                    continue
                 d, cost_d = self._answer(t, x, sa, sd, atk)
                 x1, payoff = self._step(t, x, atk, d)
                 val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None)[0]
@@ -718,6 +733,12 @@ class _Solver:
         if known is not None:
             return known, self._defense_price(known.recover, attack.normal)
         return self._defend(t, x, sa, sd, end, attack)[1:]
+
+    def _payoff_bound(self, t, x, sd, attack: AttackAction) -> int:
+        """The attack's largest step payoff at t over every defense `_answer` may give to it."""
+        known = self._opponent[t][0]
+        answers = (known,) if known is not None else (d for _, d in self._defenses(t, sd, attack.normal))
+        return max(self._step(t, x, attack, d)[1] for d in answers)
 
     def solve(self) -> Plan:
         ctx = self.ctx

@@ -49,9 +49,9 @@ class Scenario:
     game: Game
     initial_state: State
     K: int = 500
-    convergence_eps: Fraction = Fraction(1, 10**9)
+    convergence_eps: Fraction = Fraction(1, 1_000_000_000)
     convergence_window: int = 10
-    cluster_tol: Fraction = Fraction(1, 10**6)
+    cluster_tol: Fraction = Fraction(1, 1_000_000)
     work_bound_game: int = 30
     work_bound_theta: int = DEFAULT_WORK_BOUND_THETA
     name: str = ""

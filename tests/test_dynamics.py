@@ -1,12 +1,15 @@
 """Consensus update, disagreement measure, and cluster detection."""
 
+import ast
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jamgame
 from jamgame.dynamics import (
     MAX_DECIMAL_EXPONENT,
     Weights,
@@ -41,6 +44,31 @@ class TestAsFraction:
         for beyond in (f"1e{sign}{MAX_DECIMAL_EXPONENT + 1}", f"0E{sign}00{MAX_DECIMAL_EXPONENT + 1}", "1e" + sign + "9" * 10**6):
             with pytest.raises(ValueError, match="decimal exponent"):
                 as_fraction(beyond)
+
+    def test_only_as_fraction_builds_a_fraction_from_a_value(self):
+        # Text and numbers enter through as_fraction, the one home of the
+        # exponent cap; a Fraction(...) elsewhere that took anything but int
+        # literals could read a huge exponent past it. The one other exception
+        # is the solver's utility: two ints, its numerator and its denominator Q.
+        def non_literal_calls(node, func):
+            for child in ast.iter_child_nodes(node):
+                if (
+                    isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Fraction"
+                    and not all(
+                        isinstance(arg, ast.Constant) and type(arg.value) is int
+                        for arg in [*child.args, *(k.value for k in child.keywords)]
+                    )
+                ):
+                    yield func
+                yield from non_literal_calls(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+        found = [
+            (path.name, func)
+            for path in sorted(Path(jamgame.__file__).parent.glob("*.py"))
+            for func in non_literal_calls(ast.parse(path.read_text()), None)
+        ]
+        assert found == [("dynamics.py", "as_fraction"), ("game.py", "solve")]
 
 
 class TestWeights:

@@ -718,7 +718,7 @@ class TestValueMonotone:
 
 
 class TestPruning:
-    """Predicted nodes prune exactly: only exact results are memoized, and the pruning stays."""
+    """The solver prunes exactly: only exact results are memoized, and the pruning stays."""
 
     @staticmethod
     def solved(cadence, mover, state=(1, 2, 3)):
@@ -758,13 +758,24 @@ class TestPruning:
             if key[4] is not None:
                 assert _Solver(solver.ctx)._defend(*key, floor=hit[0]) == hit
 
-    def test_case2_run_makes_fewer_steps_than_without_pruning(self, monkeypatch):
-        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 12,515.
+    @staticmethod
+    def step_calls(name, monkeypatch) -> int:
+        """The StepCache.step calls of one run of the bundled scenario."""
         calls = []
         real = StepCache.step
         monkeypatch.setattr(StepCache, "step", lambda self, *args: calls.append(None) or real(self, *args))
-        run(bundled_scenario("case2"))
-        assert len(calls) < 22_859
+        run(bundled_scenario(name))
+        return len(calls)
+
+    def test_case2_run_makes_fewer_steps_than_without_pruning(self, monkeypatch):
+        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 8,332.
+        assert self.step_calls("case2", monkeypatch) < 22_859
+
+    @pytest.mark.parametrize("name, unbounded", [("case1", 16_066), ("fig1_schedule", 476_085)])
+    def test_run_makes_fewer_steps_than_without_the_contraction_bound(self, name, unbounded, monkeypatch):
+        # Without the attacker mover's contraction bound a case1 run made 16,066
+        # StepCache.step calls and a fig1_schedule run 476,085; with it, 5,926 and 100,998.
+        assert self.step_calls(name, monkeypatch) < unbounded
 
 
 class TestGame:

@@ -3,10 +3,10 @@ serialized scenarios.
 
 The digests were recorded from `jamgame run <name> --json`, from the stdout of
 `jamgame analyze <name> --json` and `jamgame validate <name> --json`, plus one
-long run of a case1 variant and case2 under the three non-default cost models. Any
-change to the solver, the simulation, the static analysis or the serializers
-that moves a single byte of these outputs fails here; a deliberate change of
-output must re-record them.
+long run of a case1 variant, case2 under the three non-default cost models and
+fig1_schedule in node mode. Any change to the solver, the simulation, the
+static analysis or the serializers that moves a single byte of these outputs
+fails here; a deliberate change of output must re-record them.
 """
 
 import contextlib
@@ -110,6 +110,26 @@ def test_case2_run_artifacts_under_other_cost_models_are_byte_identical(cost_mod
     golden = COST_MODEL_GOLDEN[cost_model]
     digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in golden}
     assert digests == golden
+
+
+# fig1_schedule's deep windows (h 6/4) in node mode with charged waste: 27
+# attacks a step, where the attacker mover's contraction bound cuts the most.
+FIG1_NODE_GOLDEN = {
+    "trace.csv": "011c52cd58bcd3236fc90c8b64eb0f52b9314279e657279f7b9addfefc036f78",
+    "plans.csv": "a2d260829ad10376cb862b3a5da9b23c4bb38f9418f43b556a3ef4cdd9876121",
+    "summary.json": "08f58f8221e70d2dbe56377f8e5a948a327a9c8b112a2562cb69fa0259b55418",
+}
+
+
+def test_fig1_schedule_run_artifacts_in_node_mode_are_byte_identical(tmp_path):
+    data = scenario_to_dict(bundled_scenario("fig1_schedule"))
+    data.update(name="fig1_schedule_node_charged", cost_model={"mode": "node", "waste": "charged"})
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--output", str(tmp_path / "out"), "--json"]) == 0
+    digests = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in FIG1_NODE_GOLDEN}
+    assert digests == FIG1_NODE_GOLDEN
 
 
 # case2 with utility.b = 1/2; every bundled scenario has b = 0, so only this
