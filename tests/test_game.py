@@ -758,6 +758,20 @@ class TestPruning:
             if key[4] is not None:
                 assert _Solver(solver.ctx)._defend(*key, floor=hit[0]) == hit
 
+    @pytest.mark.parametrize("state", [(1, 2, 3), (1, 1, 3)], ids=["distinct", "agreed-pair"])
+    def test_a_floor_equal_to_the_value_cuts_nothing(self, state):
+        # In the attacker mover's own window a floor stops the search only once
+        # no attack left can reach it: a floor equal to the value changes no
+        # result, and a floor above it yields a bound below it that no memo keeps.
+        solver = self.solved("fig1", ATTACKER, state)
+        own = [(key, hit) for key, hit in solver._values.items() if key[4] is None and key[0] < solver.w_end]
+        assert own
+        for key, hit in own[:40]:
+            assert _Solver(solver.ctx).value(*key, floor=hit[0]) == hit
+            fresh = _Solver(solver.ctx)
+            assert fresh.value(*key, floor=hit[0] + 1)[0] <= hit[0]
+            assert key not in fresh._values
+
     @staticmethod
     def step_calls(name, monkeypatch) -> int:
         """The StepCache.step calls of one run of the bundled scenario."""
@@ -774,8 +788,26 @@ class TestPruning:
     @pytest.mark.parametrize("name, unbounded", [("case1", 16_066), ("fig1_schedule", 476_085)])
     def test_run_makes_fewer_steps_than_without_the_contraction_bound(self, name, unbounded, monkeypatch):
         # Without the attacker mover's contraction bound a case1 run made 16,066
-        # StepCache.step calls and a fig1_schedule run 476,085; with it, 5,926 and 100,998.
+        # StepCache.step calls and a fig1_schedule run 476,085; with the bound
+        # as a skip alone, 5,926 and 100,998; ranked and with floors, 5,174 and 63,900.
         assert self.step_calls(name, monkeypatch) < unbounded
+
+    def test_deep_window_runs_make_few_steps_from_every_initial_state(self, monkeypatch):
+        # case1's game on fig1's cadence, four decisions. Skipping attacks in
+        # catalog order, the work hung on the state: 7,526 to 16,388 calls over
+        # these states. Ranked by their bound and with floors, 5,583 to 6,063.
+        calls = []
+        real = StepCache.step
+        monkeypatch.setattr(StepCache, "step", lambda self, *args: calls.append(None) or real(self, *args))
+        case1 = bundled_scenario("case1")
+        game = replace(case1.game, schedule=Schedule(T_attacker=2, T_defender=3, h_attacker=6, h_defender=4))
+        counts = []
+        for state in [(5, 1, 16), (10, 7, 12), (5, 13, 12), (10, 1, 2), (11, 15, 20), (5, 20, 6), (16, 10, 0)]:
+            calls.clear()
+            run(replace(case1, game=game, initial_state=make_state(state), K=4))
+            counts.append(len(calls))
+        assert max(counts) < 6_500
+        assert max(counts) < 1.15 * min(counts)
 
 
 class TestGame:
