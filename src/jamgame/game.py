@@ -576,38 +576,42 @@ class _Solver:
     that game's. The solver holds no reference to itself, so it is freed as
     soon as its decision returns.
 
-    Every cut below is exact. The mover's own window has no alpha-beta
-    cutoffs, since its predicted opponent there optimizes another objective.
-    * With `b = 0`, the attacker mover at step t < w_end tries attacks in
-      falling order of their contraction bound and stops at the first bound
-      strictly below the value still needed (`_bounded_attack`). `Weights`
-      keeps every row sum below 1, so no consensus step raises the
-      disagreement, and `_dis_weight` shrinks by D^2 a step as the
-      numerators' scale grows by D: every later summand of the window is at
-      most step t's. The tail is therefore at most (w_end - t + 1) times the
-      largest step-t payoff over the defenses `_answer` may give, the known
-      one or every affordable one. The value needed is the best so far at t
-      or, if higher, the `floor` that step t - 1 handed down: its own needed
-      value less its step payoff. The defender's answers there are fixed by
-      `_answer`, so the window is a maximization alone, and a step that
-      cannot reach its floor changes no choice above it. The probe reads
-      only the step cache; at t = w_end it would repeat `_answer`'s own work,
-      so the last step is searched in full. With `b > 0` the fragmentation
-      term can rise along the window, so the bound is not used.
+    Every node searches within a window [lo, hi] of values that can still
+    change a choice above it; an unset side is open. A node may stop once its
+    result leaves its window, and only a strict inequality stops it, because
+    equal values go to `_prefers`. A result outside its window is a bound, not
+    a value: neither `_values` nor `_responses` keeps it, so `_answer` and the
+    plan walk read exact entries only. Every cut is exact:
+    * Alpha-beta cutoffs over two levels (Knuth & Moore, 1975). A predicted
+      `_attack` hands its best value so far to `_defend` as `lo`, and the
+      defender stops at its first value below it; a predicted `_defend` hands
+      its best value so far, less the step payoff, to the next step's `value`
+      as `hi`, and the attacker stops at its first value above it. The
+      mover's own window has no alpha-beta cutoffs, since its predicted
+      opponent there optimizes another objective.
+    * With `b = 0`, the attacker mover's own steps t < w_end are ranked: they
+      try attacks in falling order of their contraction bound and stop at the
+      first bound strictly below the value still needed, the best so far at t
+      or, if higher, `lo`. `Weights` keeps every row sum below 1, so no
+      consensus step raises the disagreement, and `_dis_weight` shrinks by D^2
+      a step as the numerators' scale grows by D: every later summand of the
+      window is at most step t's. The tail is therefore at most
+      (w_end - t + 1) times the largest step-t payoff over the defenses
+      `_answer` may give, the known one or every affordable one. The
+      defender's answers there are fixed by `_answer`, so the window is a
+      maximization alone: a ranked step hands a ranked child its needed value
+      less the step payoff as `lo`, and a child that cannot reach it changes
+      no choice above it. An unranked child gets no `lo`, since it searches in
+      full and a `lo` would only keep its exact result out of the memo. The
+      probe reads only the step cache; at t = w_end it would repeat
+      `_answer`'s own work, so the last step is searched in full. With `b > 0`
+      the fragmentation term can rise along the window, so the bound is not
+      used.
     * A predicted defender that cannot sustain its maximal action
       (`want_more` false) skips every recovery set E ∪ W with W outside the
       normally attacked edges: it steps exactly as E does and costs at least
       as much, the value does not fall as the defender's spend rises, and
       with `want_more` false the smaller E wins a tie.
-    * Alpha-beta cutoffs over two levels (Knuth & Moore, 1975). A predicted
-      `_attack` hands its best value so far to `_defend` as a `floor`, and the
-      defender stops at its first value below it; a predicted `_defend` hands
-      its best value so far, less the step payoff, to the next step's `value`
-      as a `cut`, and the attacker stops at its first value above it. Only
-      strict inequalities cut, because equal values go to `_prefers`.
-    A result cut by alpha-beta or by a floor is a bound, not a value: neither
-    `_values` nor `_responses` keeps it, so `_answer` and the plan walk read
-    exact entries only.
     """
 
     def __init__(self, ctx: SolveContext, cache: StepCache | None = None):
@@ -659,14 +663,12 @@ class _Solver:
         return x1, self._dis_weight[t] * dis - self._gi_weight * gi
 
     def value(
-        self, t: int, x: Numerators, sa: int, sd: int, end: int | None, cut: int | None = None, floor: int | None = None
+        self, t: int, x: Numerators, sa: int, sd: int, end: int | None, lo: int | None = None, hi: int | None = None
     ):
         """(attacker-side value of the tail from t, its attack at t or a defender mover's defense).
 
-        With a `cut`, a predicted attacker stops at its first value above it
-        and returns that value; with a `floor`, the attacker mover's bounded
-        search returns a value below it once no attack left can reach it.
-        Either result is a bound that no memo keeps.
+        The result is exact if it lies in [lo, hi] and a bound that no memo
+        keeps otherwise.
         """
         if t > (self.w_end if end is None else end):
             return (0, None)
@@ -675,68 +677,43 @@ class _Solver:
         key = (t, x, sa, sd, end)
         hit = self._values.get(key)
         if hit is None:
-            if end is None and t < self.w_end and self._gi_weight == 0:
-                hit = self._bounded_attack(t, x, sa, sd, floor)
-                exact = floor is None or hit[0] >= floor
-            else:
-                hit = self._attack(t, x, sa, sd, end, cut)
-                exact = cut is None or hit[0] <= cut
-            if exact:
+            hit = self._attack(t, x, sa, sd, end, lo, hi)
+            if (lo is None or hit[0] >= lo) and (hi is None or hit[0] <= hi):
                 self._values[key] = hit
         return hit
 
-    def _attack(self, t, x, sa, sd, end, cut):
-        """(value, attack) of the attacker's best response at t, or a bound above `cut`."""
-        want_more = self._sustain(ATTACKER, sa, t, self.w_end if end is None else end)
-        best = None
-        for cost_a, atk in self._attacks(t, sa):
-            if end is None:
+    def _attack(self, t, x, sa, sd, end, lo, hi):
+        """(value, attack) of the attacker's best response at t, or a bound outside [lo, hi]."""
+        own = end is None
+        want_more = self._sustain(ATTACKER, sa, t, self.w_end if own else end)
+        options = self._attacks(t, sa)
+        ranked = own and t < self.w_end and self._gi_weight == 0
+        if ranked:
+            reach = self.w_end - t + 1
+            bound = {atk: reach * self._payoff_bound(t, x, sd, atk) for _, atk in options}
+            options = sorted(options, key=lambda option: bound[option[1]], reverse=True)
+        child_ranked = ranked and t + 1 < self.w_end
+        best = need = None
+        for cost_a, atk in options:
+            if own:
+                if ranked:
+                    need = lo if best is None or (lo is not None and lo > best[0]) else best[0]
+                    if need is not None and bound[atk] < need:
+                        break
                 d, cost_d = self._answer(t, x, sa, sd, atk)
                 x1, payoff = self._step(t, x, atk, d)
-                val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None)[0]
+                child_lo = need - payoff if child_ranked and need is not None else None
+                val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None, child_lo)[0]
             else:
                 val = self._defend(t, x, sa, sd, end, atk, None if best is None else best[0])[0]
             if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
                 best = (val, atk)
-                if cut is not None and val > cut:
+                if hi is not None and val > hi:
                     break
-        return best
+        return best or (lo - 1, None)
 
-    def _bounded_attack(self, t, x, sa, sd, floor):
-        """(value, attack) of the attacker mover's best at t < w_end with b = 0, or a bound below `floor`.
-
-        Attacks go in falling order of their contraction bound, (w_end - t + 1)
-        times `_payoff_bound`, and the search stops at the first bound below
-        the value still needed: the best so far, or `floor` if that is higher.
-        Each searched attack hands the needed value, less its step payoff, to
-        the next step as that node's `floor`.
-        """
-        want_more = self._sustain(ATTACKER, sa, t, self.w_end)
-        reach = self.w_end - t + 1
-        ranked = sorted(
-            ((reach * self._payoff_bound(t, x, sd, atk), cost_a, atk) for cost_a, atk in self._attacks(t, sa)),
-            key=lambda option: option[0],
-            reverse=True,
-        )
-        best = None
-        for bound, cost_a, atk in ranked:
-            need = floor if best is None or (floor is not None and floor > best[0]) else best[0]
-            if need is not None and bound < need:
-                break
-            d, cost_d = self._answer(t, x, sa, sd, atk)
-            x1, payoff = self._step(t, x, atk, d)
-            below = None if need is None else need - payoff
-            val = payoff + self.value(t + 1, x1, sa + cost_a, sd + cost_d, None, floor=below)[0]
-            if best is None or val > best[0] or (val == best[0] and _prefers(atk, best[1], want_more)):
-                best = (val, atk)
-        return best or (floor - 1, None)
-
-    def _defend(self, t, x, sa, sd, end, attack, floor=None):
-        """(value, defense, price) of the defender's best response to a same-step attack.
-
-        With a `floor`, a predicted defender stops at its first value below it
-        and returns that value, a bound that no memo keeps.
-        """
+    def _defend(self, t, x, sa, sd, end, attack, lo=None):
+        """(value, defense, price) of the defender's best response to a same-step attack, or a bound below `lo`."""
         key = (t, x, sa, sd, end, attack)
         hit = self._responses.get(key)
         if hit is not None:
@@ -751,11 +728,11 @@ class _Solver:
             if skip_waste and not d.recover <= normal:
                 continue
             x1, payoff = self._step(t, x, attack, d)
-            cut = best[0] - payoff if predicted and best is not None else None
-            val = payoff + self.value(t + 1, x1, sa1, sd + cost_d, end, cut)[0]
+            hi = best[0] - payoff if predicted and best is not None else None
+            val = payoff + self.value(t + 1, x1, sa1, sd + cost_d, end, None, hi)[0]
             if best is None or val < best[0] or (val == best[0] and _prefers(d, best[1], want_more)):
                 best = (val, d, cost_d)
-                if floor is not None and val < floor:
+                if lo is not None and val < lo:
                     return best
         self._responses[key] = best
         return best

@@ -49,9 +49,6 @@ class Graph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    def without_edges(self, removed) -> Graph:
-        return Graph(self.n, self.edges - frozenset(removed))
-
     def incident_edges(self, vertices) -> frozenset[Edge]:
         vs = set(vertices)
         return frozenset(e for e in self.edges if e[0] in vs or e[1] in vs)
@@ -66,9 +63,6 @@ class Partition:
     @property
     def group_count(self) -> int:
         return len(self.groups)
-
-    def as_sorted_lists(self) -> list[list[int]]:
-        return [sorted(g) for g in self.groups]
 
 
 def components(g: Graph) -> Partition:

@@ -78,12 +78,13 @@ def reference_theta(g: Graph, mode: str) -> tuple[int, ...]:
     """Theta by building every attacked graph and counting its groups."""
     if mode == "node":
         return tuple(
-            max(group_count(g.without_edges(g.incident_edges(removed))) - i
+            max(group_count(Graph(g.n, g.edges - g.incident_edges(removed))) - i
                 for removed in itertools.combinations(range(1, g.n + 1), i))
             for i in range(1, g.n + 1)
         )
     return tuple(
-        max(group_count(g.without_edges(removed)) for removed in itertools.combinations(g.sorted_edges, i))
+        max(group_count(Graph(g.n, g.edges - frozenset(removed)))
+            for removed in itertools.combinations(g.sorted_edges, i))
         for i in range(1, len(g.edges) + 1)
     )
 

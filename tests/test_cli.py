@@ -144,9 +144,9 @@ class TestRun:
     def test_plot_files_are_float_tables(self, scenario_file, tmp_path):
         outdir = tmp_path / "out"
         main(["run", str(scenario_file), "--output", str(outdir)])
-        states = list(csv.DictReader((outdir / "plot_states.csv").open()))
+        states = list(csv.DictReader((outdir / "plot_states.csv").read_text().splitlines()))
         assert float(states[0]["x1"]) == 1.0
-        energy = list(csv.DictReader((outdir / "plot_energy.csv").open()))
+        energy = list(csv.DictReader((outdir / "plot_energy.csv").read_text().splitlines()))
         assert float(energy[0]["attacker_budget"]) == 1.5
 
     def test_oversized_instance_exits_3(self, tmp_path, capsys):
@@ -161,7 +161,7 @@ class TestSweep:
     def test_empty_grid_matches_single_run(self, scenario_file, tmp_path):
         outdir = tmp_path / "out"
         assert main(["sweep", str(scenario_file), "--output", str(outdir)]) == 0
-        rows = list(csv.DictReader((outdir / "sweep.csv").open()))
+        rows = list(csv.DictReader((outdir / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 1
         expected = summarize(run(small_scenario()))
         row = rows[0]
@@ -177,7 +177,7 @@ class TestSweep:
             "sweep", str(scenario_file), "--output", str(outdir),
             "--grid", "h_attacker=1,2", "--grid", "T_defender=1",
         ]) == 0
-        rows = list(csv.DictReader((outdir / "sweep.csv").open()))
+        rows = list(csv.DictReader((outdir / "sweep.csv").read_text().splitlines()))
         assert [r["name"] for r in rows] == [
             "small[h_attacker=1,T_defender=1]",
             "small[h_attacker=2,T_defender=1]",
@@ -190,7 +190,7 @@ class TestSweep:
             "sweep", str(scenario_file), "--output", str(outdir),
             "--grid", "rho_attacker=9/2,1",
         ]) == 0
-        rows = list(csv.DictReader((outdir / "sweep.csv").open()))
+        rows = list(csv.DictReader((outdir / "sweep.csv").read_text().splitlines()))
         assert rows[0]["status"] == "validation_error"
         # a point is checked as a file is, so the error names the field
         assert rows[0]["error"].startswith("attacker_energy: need kappa >= rho > 0")
@@ -202,7 +202,7 @@ class TestSweep:
             "sweep", str(scenario_file), "--output", str(outdir),
             "--grid", "h_attacker=16", "--work-bound", "20",
         ]) == 0
-        rows = list(csv.DictReader((outdir / "sweep.csv").open()))
+        rows = list(csv.DictReader((outdir / "sweep.csv").read_text().splitlines()))
         assert rows[0]["status"] == "work_bound_exceeded"
 
     @pytest.mark.parametrize("argv", [["sweep", "case1", "--json"], ["validate", "case1", "--work-bound", "5"]])
@@ -371,5 +371,5 @@ class TestExactValuesOfAnySize:
         assert loads_scenario((outdir / "scenario.json").read_text()) == s
         assert read_run(outdir, s) == run(s)
         assert capsys.readouterr().out == (outdir / "summary.json").read_text()
-        states = list(csv.DictReader((outdir / "plot_states.csv").open()))
+        states = list(csv.DictReader((outdir / "plot_states.csv").read_text().splitlines()))
         assert states[0]["x1"] == "inf"

@@ -721,22 +721,27 @@ class TestPruning:
     """The solver prunes exactly: only exact results are memoized, and the pruning stays."""
 
     @staticmethod
-    def solved(cadence, mover, state=(1, 2, 3)):
-        """A solver that has solved a first decision of case1's game under case1's or fig1's cadence."""
+    def solved(cadence, mover, state=(1, 2, 3), b=0):
+        """A solver that has solved a first decision of case1's game, with weight b, under case1's or fig1's cadence."""
         game = bundled_scenario("case1").game
         if cadence == "fig1":
             game = replace(game, schedule=Schedule(T_attacker=2, T_defender=3, h_attacker=6, h_defender=4))
+        if b:
+            game = replace(game, util=replace(game.util, b=b))
         solver = _Solver(SolveContext(game, state, 0, mover))
         solver.solve()
         assert solver._responses
         return solver
 
     @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
-    @pytest.mark.parametrize("cadence", ["case1", "fig1"])
-    def test_memos_hold_only_exact_results(self, cadence, mover):
+    @pytest.mark.parametrize(
+        "cadence, b", [("case1", 0), ("fig1", 0), ("fig1", HALF)], ids=["case1", "fig1", "fig1-b=1/2"]
+    )
+    def test_memos_hold_only_exact_results(self, cadence, b, mover):
         # A cut result is only a bound; a memo that kept one would hand it to
-        # a later reader that needs the exact value or the best action.
-        solver = self.solved(cadence, mover)
+        # a later reader that needs the exact value or the best action. With
+        # b > 0 no own step is ranked.
+        solver = self.solved(cadence, mover, b=b)
         for key, hit in solver._values.items():
             assert _Solver(solver.ctx).value(*key) == hit
         for key, hit in solver._responses.items():
@@ -753,37 +758,47 @@ class TestPruning:
         predicted = [(key, hit) for key, hit in solver._values.items() if key[4] is not None]
         assert predicted
         for key, hit in predicted:
-            assert _Solver(solver.ctx).value(*key, cut=hit[0]) == hit
+            assert _Solver(solver.ctx).value(*key, hi=hit[0]) == hit
         for key, hit in solver._responses.items():
             if key[4] is not None:
-                assert _Solver(solver.ctx)._defend(*key, floor=hit[0]) == hit
+                assert _Solver(solver.ctx)._defend(*key, lo=hit[0]) == hit
 
     @pytest.mark.parametrize("state", [(1, 2, 3), (1, 1, 3)], ids=["distinct", "agreed-pair"])
     def test_a_floor_equal_to_the_value_cuts_nothing(self, state):
-        # In the attacker mover's own window a floor stops the search only once
-        # no attack left can reach it: a floor equal to the value changes no
-        # result, and a floor above it yields a bound below it that no memo keeps.
+        # In the attacker mover's own window a `lo` stops the search only once
+        # no attack left can reach it: a `lo` equal to the value changes no
+        # result, and a `lo` above it yields a bound below it that no memo keeps.
         solver = self.solved("fig1", ATTACKER, state)
         own = [(key, hit) for key, hit in solver._values.items() if key[4] is None and key[0] < solver.w_end]
         assert own
         for key, hit in own[:40]:
-            assert _Solver(solver.ctx).value(*key, floor=hit[0]) == hit
+            assert _Solver(solver.ctx).value(*key, lo=hit[0]) == hit
             fresh = _Solver(solver.ctx)
-            assert fresh.value(*key, floor=hit[0] + 1)[0] <= hit[0]
+            assert fresh.value(*key, lo=hit[0] + 1)[0] <= hit[0]
             assert key not in fresh._values
 
     @staticmethod
-    def step_calls(name, monkeypatch) -> int:
-        """The StepCache.step calls of one run of the bundled scenario."""
+    def step_calls(name, monkeypatch, b=0) -> int:
+        """The StepCache.step calls of one run of the bundled scenario, with weight b if given."""
         calls = []
         real = StepCache.step
         monkeypatch.setattr(StepCache, "step", lambda self, *args: calls.append(None) or real(self, *args))
-        run(bundled_scenario(name))
+        scenario = bundled_scenario(name)
+        if b:
+            scenario = replace(scenario, game=replace(scenario.game, util=replace(scenario.game.util, b=b)))
+        run(scenario)
         return len(calls)
 
     def test_case2_run_makes_fewer_steps_than_without_pruning(self, monkeypatch):
-        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 8,332.
+        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 8,465.
         assert self.step_calls("case2", monkeypatch) < 22_859
+
+    def test_unranked_own_steps_keep_their_results_memoized(self, monkeypatch):
+        # With b > 0 no own step is ranked, so none hands its child a `lo`, and
+        # every exact own result stays in the memo: a case1 run makes 16,066
+        # StepCache.step calls. A `lo` handed to every own child kept results
+        # below it out of the memo, and the run made 16,164.
+        assert self.step_calls("case1", monkeypatch, b=HALF) <= 16_066
 
     @pytest.mark.parametrize("name, unbounded", [("case1", 16_066), ("fig1_schedule", 476_085)])
     def test_run_makes_fewer_steps_than_without_the_contraction_bound(self, name, unbounded, monkeypatch):
