@@ -6,7 +6,10 @@ consensus update (`consensus_update`) and the disagreement (`state_difference`) 
 generic over the number type, so the game's step cache runs the same two rules on
 integers: numerators over a per-window denominator, with the weights as numerators
 over their common denominator (the update is linear, so both denominators stay
-outside). Every trace and tie-break is bit-reproducible.
+outside). The solver's search and a run's committed steps (`StepCache.commit`) both
+go through that integer kernel; a run converts back to Fractions once per value its
+trace records. `consensus_step` is the Fraction form of the update, which the
+brute-force oracle steps with. Every trace and tie-break is bit-reproducible.
 """
 
 from __future__ import annotations

@@ -424,6 +424,11 @@ def _common_denominator(values) -> int:
     return math.lcm(*(v.denominator for v in values))
 
 
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, in lowest terms: the one way back from integer numerators."""
+    return Fraction(numerator, denominator)
+
+
 class _Prices:
     """Decision-invariant pricing of one game over one money scale M.
 
@@ -498,12 +503,16 @@ class StepCache:
     linear, so the next state's numerators over s*D do not depend on s: `step`
     caches on (numerators, resolved edges) alone, and one cache serves every
     decision of a run. A miss runs `dynamics`' update and disagreement on
-    integers only. `prices(M)` hands out the pricing table over money scale
-    M, built on first use, so every decision on the same money scale shares
-    its prices and option lists; an option list is keyed by the slack left,
-    `budget(t) - spend`, and for defenses also by the normally attacked edges.
-    `money_scale` is the lcm of the energy parameters' denominators, which
-    every M is a multiple of.
+    integers only. `resolve` is the one resolution memo, which `step` and
+    `commit` share. `commit` steps a run's committed actions: it runs the same
+    integer rules on an exact state's numerators, memoizes nothing but the
+    resolution, and converts the next state, the step payoff and the largest
+    move back to Fractions once each. `prices(M)` hands out the pricing table
+    over money scale M, built on first use, so every decision on the same
+    money scale shares its prices and option lists; an option list is keyed by
+    the slack left, `budget(t) - spend`, and for defenses also by the normally
+    attacked edges. `money_scale` is the lcm of the energy parameters'
+    denominators, which every M is a multiple of.
     """
 
     def __init__(self, game: Game):
@@ -518,25 +527,53 @@ class StepCache:
         self._next: dict = {}
         self.prices = cache(lambda M: _Prices(game, M))
 
-    def step(self, x: Numerators, attack: AttackAction, defense: DefenseAction):
-        """Apply one resolved step to the numerators x over s.
-
-        Returns (next numerators over s*D, their disagreement numerator over
-        (s*D)^2, the resolved graph's group index), all of them ints.
-        """
+    def resolve(self, attack: AttackAction, defense: DefenseAction):
+        """(resolved edges, their group index, their weights as numerators over D) of one step's actions."""
         rkey = (attack.strong, attack.normal, defense.recover)
         resolved = self._resolved.get(rkey)
         if resolved is None:
             g1 = apply_actions(self.game.graph, attack.strong, attack.normal, defense.recover)
             weighted = tuple((e, self._weights[e]) for e in g1.edges if e in self._weights)
             resolved = self._resolved[rkey] = (g1.edges, agent_group_index(g1), weighted)
-        edges, gi, weighted = resolved
+        return resolved
+
+    def step(self, x: Numerators, attack: AttackAction, defense: DefenseAction):
+        """Apply one resolved step to the numerators x over s.
+
+        Returns (next numerators over s*D, their disagreement numerator over
+        (s*D)^2, the resolved graph's group index), all of them ints.
+        """
+        edges, gi, weighted = self.resolve(attack, defense)
         skey = (x, edges)
         hit = self._next.get(skey)
         if hit is None:
             x1 = consensus_update(x, weighted, self.scale)
             hit = self._next[skey] = (x1, state_difference(x1), gi)
         return hit
+
+    def commit(self, x: State, attack: AttackAction, defense: DefenseAction):
+        """Apply one committed step to the exact state x.
+
+        Returns (next state, resolved edges, attacker-side step payoff, largest
+        move max |x1_i - x_i|). The state runs through `step`'s integer rules
+        as its numerators over den, the lcm of its denominators, and each value
+        converts back to a Fraction once. Nothing is memoized but the
+        resolution, so a run's steps add no `step` calls to the search's.
+        """
+        edges, gi, weighted = self.resolve(attack, defense)
+        D, util = self.scale, self.game.util
+        den = _common_denominator(x)
+        xn = tuple(_over(v, den) for v in x)
+        x1 = consensus_update(xn, weighted, D)
+        s1 = den * D
+        a, b, s1_sq = util.a, util.b, s1 * s1
+        # a*dis/s1^2 - b*gi over one denominator, built as one Fraction
+        payoff = _fraction(
+            a.numerator * b.denominator * state_difference(x1) - b.numerator * a.denominator * gi * s1_sq,
+            a.denominator * b.denominator * s1_sq,
+        )
+        move = _fraction(max(abs(v1 - D * v) for v, v1 in zip(xn, x1)), s1)
+        return tuple(_fraction(v, s1) for v in x1), edges, payoff, move
 
 
 # --- the solver --------------------------------------------------------------
@@ -562,7 +599,7 @@ class _Solver:
     denominators. Values are numerators over the window denominator
     Q = L*den(x0)^2*D^(2H), where L is the lcm of the utility weights'
     denominators and H the window length. The one conversion back is
-    `Plan.utility = Fraction(±total, Q)`, negated for a defender mover.
+    `Plan.utility = _fraction(±total, Q)`, negated for a defender mover.
 
     Only the window's two search memos belong to one decision: `_values`
     holds (value, leading attack) per attacker node, and `_responses` holds
@@ -769,7 +806,7 @@ class _Solver:
             if t < self.w_end:
                 x = self.cache.step(x, atk, d)[0]
                 sa, sd = sa + self._attack_prices[atk], sd + cost_d
-        return ctx.plan(steps, Fraction(-total if self._defending else total, self.Q))
+        return ctx.plan(steps, _fraction(-total if self._defending else total, self.Q))
 
 
 def solve_decision(ctx: SolveContext, cache: StepCache | None = None) -> Plan:

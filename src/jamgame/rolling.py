@@ -5,8 +5,9 @@ Walks k = 0..K-1 over the scenario's `Game`. At every step where its
 current state, spends and knowledge, with one `StepCache` shared by every
 decision of the run. The mover knows the applied block of the opponent's
 plan in force exactly when `Schedule.knows` says so. The committed plan
-prefixes are applied open-loop, attacks are resolved against recoveries, the
-consensus dynamics step, and everything needed for analysis is recorded. The
+prefixes are applied open-loop: `StepCache.commit` resolves attacks against
+recoveries and steps the consensus dynamics with the solver's integer rules,
+and converts back to Fractions once per value the trace records. The
 defender's planned recovery lands only on edges normally attacked that step;
 the rest of the planned set is waste. A committed action that overdraws its
 player's budget line is a `RuntimeError`. A run stops early once the state is
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import State, consensus_step
+from .dynamics import State
 from .energy import budget_at, defense_cost
 from .game import (
     ATTACKER,
@@ -30,9 +31,8 @@ from .game import (
     StepCache,
     opponent,
     solve_decision,
-    step_payoff,
 )
-from .network import Edge, apply_actions
+from .network import Edge
 from .scenario import Scenario
 
 
@@ -72,7 +72,7 @@ class Trace:
 def run(scenario: Scenario) -> Trace:
     """Execute one full game and return its trace."""
     game = scenario.game
-    sched, g = game.schedule, game.graph
+    sched = game.schedule
     cache = StepCache(game)
     x = scenario.initial_state
     att_spent = def_spent = def_wasted = Fraction(0)
@@ -103,17 +103,14 @@ def run(scenario: Scenario) -> Trace:
             if spent > budget:
                 raise RuntimeError(f"committed {who} action exceeds budget at k={k}: spent {spent}, budget {budget}")
 
-        resolved = apply_actions(g, atk.strong, atk.normal, dfn.recover)
-        x_next = consensus_step(x, resolved, game.weights)
-        payoff = step_payoff(x_next, resolved, game.util)
-
+        x_next, resolved_edges, payoff, delta = cache.commit(x, atk, dfn)
         steps.append(
             TraceStep(
                 k=k,
                 attack=atk,
                 defense_planned=dfn,
                 defense_effective=dfn.recover & atk.normal,
-                resolved_edges=resolved.edges,
+                resolved_edges=resolved_edges,
                 state=x_next,
                 attacker_spent=att_spent,
                 attacker_wasted=Fraction(0),
@@ -123,7 +120,6 @@ def run(scenario: Scenario) -> Trace:
             )
         )
 
-        delta = max(abs(b - a) for a, b in zip(x, x_next))
         stable = stable + 1 if delta < scenario.convergence_eps else 0
         x = x_next
         if stable >= scenario.convergence_window:

@@ -49,7 +49,8 @@ class TestAsFraction:
         # Text and numbers enter through as_fraction, the one home of the
         # exponent cap; a Fraction(...) elsewhere that took anything but int
         # literals could read a huge exponent past it. The one other exception
-        # is the solver's utility: two ints, its numerator and its denominator Q.
+        # is game._fraction, the one way back from the step cache's integer
+        # kernel: it takes two ints, a numerator and its denominator.
         def non_literal_calls(node, func):
             for child in ast.iter_child_nodes(node):
                 if (
@@ -68,7 +69,7 @@ class TestAsFraction:
             for path in sorted(Path(jamgame.__file__).parent.glob("*.py"))
             for func in non_literal_calls(ast.parse(path.read_text()), None)
         ]
-        assert found == [("dynamics.py", "as_fraction"), ("game.py", "solve")]
+        assert found == [("dynamics.py", "as_fraction"), ("game.py", "_fraction")]
 
 
 class TestWeights:

@@ -909,6 +909,17 @@ def step_cases(draw):
     return game, atk, DefenseAction(recover), x, s
 
 
+@st.composite
+def commit_cases(draw):
+    """A `step_cases` step under drawn utility weights, from a reduced Fraction state of up to ~800-bit denominators."""
+    game, atk, dfn, x, _ = draw(step_cases())
+    a = draw(st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=5, max_denominator=9)))
+    b = draw(st.fractions(min_value=0 if a else Fraction(1, 9), max_value=5, max_denominator=9))
+    big = st.integers(min_value=1, max_value=2**800)
+    state = tuple(Fraction(draw(big) * draw(st.sampled_from((-1, 1))), draw(big)) for _ in x)
+    return replace(game, util=UtilityWeights(a, b)), atk, dfn, state
+
+
 class TestStepKernel:
     @settings(max_examples=300, deadline=None)
     @given(step_cases())
@@ -929,6 +940,22 @@ class TestStepKernel:
             got = cache.step(x, atk, dfn)
             assert got == expected
             assert all(type(v) is int for v in (*got[0], got[1], got[2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(commit_cases())
+    def test_commit_equals_the_fraction_rules(self, case):
+        # A committed step gives exactly what the Fraction rules give, and
+        # leaves the search's step memo as it found it.
+        game, atk, dfn, x = case
+        cache = StepCache(game)
+        resolved = apply_actions(game.graph, atk.strong, atk.normal, dfn.recover)
+        x1 = consensus_step(x, resolved, game.weights)
+        payoff = step_payoff(x1, resolved, game.util)
+        move = max(abs(v1 - v) for v, v1 in zip(x, x1))
+        got = cache.commit(x, atk, dfn)
+        assert got == (x1, resolved.edges, payoff, move)
+        assert all(type(v) is Fraction for v in (*got[0], got[2], got[3]))
+        assert cache._next == {}
 
     def test_disagreement_of_one_fraction_agent_is_a_fraction_zero(self):
         z = state_difference(make_state([Fraction(7, 3)]))
