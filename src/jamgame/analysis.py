@@ -68,8 +68,12 @@ def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WO
 
     Edge mode enumerates all edge subsets; node mode removes the attacked
     vertices with their incident edges and counts groups among the remainder,
-    so the last entry is 0. Both walk every subset in one incremental pass
-    (_best_group_counts) and refuse before it when 2^items exceeds the bound.
+    so the last entry is 0. Both run one incremental depth-first pass over the
+    subsets (_best_group_counts) and refuse before it when 2^items exceeds the
+    bound. The pass skips every branch that cannot raise a group count, using
+    that Theta_r never falls in edge mode and Theta_r + r never falls in node
+    mode; the result stays exact. A forest in edge mode gets no pruning and
+    walks every subset.
     """
     node_mode = mode == NODE_ATTACK
     size = g.n if node_mode else len(g.edges)
@@ -98,15 +102,36 @@ def _best_group_counts(n: int, items: list[tuple[int, list[Edge]]], present: int
     vertex v). A group is the int bitmask of its vertices, stored at each
     member, so a join rewrites only the members of the two groups it merges
     and a subset costs no graph, set or search of its own.
+
+    The pass is an exact branch-and-bound. Keeping one item adds at most
+    `rise` groups (0 for edges, 1 for vertices), so removing one more item
+    from an optimal set costs at most `rise` groups and
+    f(r) = Theta_r + rise*r never falls as r grows. Invariant: best[r] is the
+    most groups + rise*removed over the leaves visited so far with at most r
+    removals, so best never falls along r; a leaf fills its value into
+    best[removed], best[removed+1], ... while they are lower, and at the end
+    best[r] = f(r). A leaf below a node with `removed` removals at depth d
+    scores at most groups + rise*(removed + m - d), since a kept item adds at
+    most `rise` groups and a join only lowers the count; when best[removed]
+    already reaches that, no leaf below can raise any entry and the branch is
+    skipped. Exactness does not depend on the visit order. On a forest in
+    edge mode every kept edge joins two groups, so the bound is loose and
+    every subset is still walked.
     """
     m = len(items)
     best = [0] * (m + 1)
     steps = [(bits, bits.bit_count(), [(u, v, 1 << u | 1 << v) for u, v in links]) for bits, links in items]
+    rise = max((added for _, added, _ in steps), default=0)
 
     def visit(d: int, group_of: list[int], present: int, groups: int, removed: int) -> None:
-        if d == m:
-            if groups > best[removed]:
-                best[removed] = groups
+        top = groups + rise * (removed + m - d)  # no leaf below scores more
+        if best[removed] >= top:
+            return
+        if d == m:  # a leaf, and top is its own score
+            for r in range(removed, m + 1):
+                if best[r] >= top:
+                    break
+                best[r] = top
             return
         visit(d + 1, group_of, present, groups, removed + 1)
         bits, added, links = steps[d]
@@ -125,7 +150,7 @@ def _best_group_counts(n: int, items: list[tuple[int, list[Edge]]], present: int
         visit(d + 1, group_of, present, groups, removed)
 
     visit(0, [1 << v for v in range(n + 1)], present, present.bit_count(), 0)
-    return best[1:]
+    return [best[r] - rise * r for r in range(1, m + 1)]
 
 
 # --- configuration-level conditions -------------------------------------------

@@ -1,8 +1,13 @@
 """Tests for the condition report, theta vectors, cluster bounds, and oracles."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,9 +61,13 @@ class TestThetaVector:
             assert theta_vector(g).values[-1] == g.n
 
     def test_monotone_on_example_graphs(self):
-        for g in (PATH3, DIAMOND4, CYCLE4):
-            v = theta_vector(g).values
-            assert all(v[i + 1] >= v[i] for i in range(len(v) - 1))
+        # theta's branch-and-bound rests on this: Theta_r never falls in edge mode, Theta_r + r never falls in node mode
+        graphs = [PATH3, DIAMOND4, CYCLE4, *(g for seed in range(4) for g in random_graphs(seed))]
+        for g in graphs:
+            for mode, rise in (("edge", 0), ("node", 1)):
+                for values in (theta_vector(g, mode).values, reference_theta(g, mode)):
+                    f = [v + rise * r for r, v in enumerate(values, 1)]
+                    assert all(f[i + 1] >= f[i] for i in range(len(f) - 1)), (g, mode, values)
 
     def test_node_mode_counts_survivors(self):
         # removing the middle vertex splits the endpoints; removing all leaves nobody
@@ -100,12 +109,40 @@ def random_graphs(seed: int, count: int = 12):
         yield Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(12, len(pairs)))))
 
 
+def theta_in_child(n: int, edges: list, mode: str) -> tuple[int, ...]:
+    """theta_vector with work_bound equal to its size, in a child process, so a walk that runs for minutes fails the test instead of stalling the suite."""
+    size = n if mode == "node" else len(edges)
+    code = (
+        "from jamgame.analysis import theta_vector; from jamgame.network import Graph; "
+        f"print(list(theta_vector(Graph.from_edges({n}, {edges!r}), {mode!r}, work_bound={size}).values))"
+    )
+    src = str(Path(analysis.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout))
+
+
 class TestThetaKernel:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("mode", ["edge", "node"])
     def test_matches_reference_enumeration(self, seed, mode):
         for g in random_graphs(seed):
             assert theta_vector(g, mode).values == reference_theta(g, mode), g
+
+    def test_complete_graph_in_edge_mode_matches_closed_form(self):
+        # k groups of K_n cost at least (k-1)*n - k(k-1)/2 removed edges: cut k-1 vertices off alone
+        n = 8
+        edges = list(itertools.combinations(range(1, n + 1), 2))
+        expected = tuple(
+            max(k for k in range(1, n + 1) if (k - 1) * n - k * (k - 1) // 2 <= r) for r in range(1, len(edges) + 1)
+        )
+        assert theta_in_child(n, edges, "edge") == expected
+
+    def test_star_in_node_mode_matches_closed_form(self):
+        # removing the center first leaves every survivor a group of its own
+        n = 28
+        assert theta_in_child(n, [(1, v) for v in range(2, n + 1)], "node") == tuple(n - r for r in range(1, n + 1))
 
     @pytest.mark.parametrize("mode, size", [("edge", 17), ("node", 18)])
     def test_gate_refuses_before_enumerating(self, monkeypatch, mode, size):
