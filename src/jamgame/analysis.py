@@ -68,12 +68,16 @@ def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WO
 
     Edge mode enumerates all edge subsets; node mode removes the attacked
     vertices with their incident edges and counts groups among the remainder,
-    so the last entry is 0. Both run one incremental depth-first pass over the
-    subsets (_best_group_counts) and refuse before it when 2^items exceeds the
-    bound. The pass skips every branch that cannot raise a group count, using
-    that Theta_r never falls in edge mode and Theta_r + r never falls in node
-    mode; the result stays exact. A forest in edge mode gets no pruning and
-    walks every subset.
+    so the last entry is 0. Both refuse before any enumeration when 2^items
+    exceeds the bound. Node mode, and edge mode on a graph with more ways to
+    split its vertices into groups than edge subsets (a forest, say), run one
+    incremental depth-first pass over the subsets (_best_group_counts). The
+    pass skips every branch that cannot raise a group count, using that
+    Theta_r never falls in edge mode and Theta_r + r never falls in node mode;
+    the result stays exact. A forest in edge mode gets no pruning and walks
+    every subset. Edge mode on any other graph walks every split of the
+    vertices into groups instead (_theta_by_groupings), whose cost depends on
+    the vertex count alone, not on which edges the graph has.
     """
     node_mode = mode == NODE_ATTACK
     size = g.n if node_mode else len(g.edges)
@@ -86,6 +90,8 @@ def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WO
         for u, v in g.sorted_edges:
             lower[v].append((u, v))
         values = _best_group_counts(g.n, [(1 << v, lower[v]) for v in lower], present=0)
+    elif g.n <= size + 1 and _bell(g.n) <= 1 << size:  # Bell(n) >= 2^(n-1)
+        values = _theta_by_groupings(g.n, g.sorted_edges)
     else:
         every_vertex = sum(1 << v for v in range(1, g.n + 1))
         values = _best_group_counts(g.n, [(0, [e]) for e in g.sorted_edges], present=every_vertex)
@@ -151,6 +157,52 @@ def _best_group_counts(n: int, items: list[tuple[int, list[Edge]]], present: int
 
     visit(0, [1 << v for v in range(n + 1)], present, present.bit_count(), 0)
     return [best[r] - rise * r for r in range(1, m + 1)]
+
+
+def _theta_by_groupings(n: int, edges: tuple[Edge, ...]) -> list[int]:
+    """Edge-mode Theta_r for r = 1..len(edges), from every split of the vertices into groups.
+
+    One depth-first pass puts vertex 1, 2, ..., n in turn into each group made
+    so far and into a new one of its own, counting the edges that end up
+    between two groups; a group is the int bitmask of its vertices. fewest[k]
+    is the fewest such edges over the splits into k groups. Then
+    Theta_r = max{k : fewest[k] <= r}: removing the edges between the groups
+    of such a split, and any r - fewest[k] more, leaves at least k groups, and
+    the groups left by any r removals are a split with at most r edges between
+    them. The pass visits every split, Bell(n) of them, whatever the edges.
+    """
+    m = len(edges)
+    lower = [0] * (n + 1)  # bit u of lower[v]: an edge to a vertex u < v
+    for u, v in edges:
+        lower[max(u, v)] |= 1 << min(u, v)
+    fewest = [m + 1] * (n + 1)
+
+    def place(v: int, groups: list[int], between: int) -> None:
+        if v > n:
+            fewest[len(groups)] = min(fewest[len(groups)], between)
+            return
+        back = lower[v]
+        for i, members in enumerate(groups):
+            groups[i] = members | 1 << v
+            place(v + 1, groups, between + (back & ~members).bit_count())
+            groups[i] = members
+        groups.append(1 << v)
+        place(v + 1, groups, between + back.bit_count())
+        groups.pop()
+
+    place(1, [], 0)
+    return [max(k for k in range(1, n + 1) if fewest[k] <= r) for r in range(1, m + 1)]
+
+
+def _bell(n: int) -> int:
+    """Ways to split n vertices into groups: the Bell number, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 # --- configuration-level conditions -------------------------------------------

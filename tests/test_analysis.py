@@ -130,6 +130,30 @@ class TestThetaKernel:
         for g in random_graphs(seed):
             assert theta_vector(g, mode).values == reference_theta(g, mode), g
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_both_edge_kernels_match_reference_enumeration(self, seed):
+        # theta_vector picks one per graph; each must be exact on every graph
+        for g in random_graphs(seed):
+            every_vertex = sum(1 << v for v in range(1, g.n + 1))
+            walk = analysis._best_group_counts(g.n, [(0, [e]) for e in g.sorted_edges], present=every_vertex)
+            expected = list(reference_theta(g, "edge"))
+            assert walk == expected, g
+            assert analysis._theta_by_groupings(g.n, g.sorted_edges) == expected, g
+
+    def test_dense_edge_mode_walks_groupings_and_forests_walk_subsets(self, monkeypatch):
+        # 4,140 splits of 8 vertices against 2^16 subsets of 16 edges: the split
+        # walk, whose cost does not depend on which 16 edges the graph has
+        assert [analysis._bell(n) for n in range(10)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
+        dense = Graph.from_edges(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)][:16])
+        path = Graph.from_edges(8, [(i, i + 1) for i in range(1, 8)])
+        kernel = analysis._best_group_counts
+        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: pytest.fail("walked subsets"))
+        assert theta_vector(dense).values == reference_theta(dense, "edge")
+        monkeypatch.setattr(analysis, "_best_group_counts", kernel)
+        monkeypatch.setattr(analysis, "_theta_by_groupings", lambda *a, **k: pytest.fail("walked splits"))
+        assert theta_vector(path).values == tuple(range(2, 9))
+        assert theta_vector(dense, "node").values == reference_theta(dense, "node")
+
     def test_complete_graph_in_edge_mode_matches_closed_form(self):
         # k groups of K_n cost at least (k-1)*n - k(k-1)/2 removed edges: cut k-1 vertices off alone
         n = 8
@@ -147,14 +171,16 @@ class TestThetaKernel:
     @pytest.mark.parametrize("mode, size", [("edge", 17), ("node", 18)])
     def test_gate_refuses_before_enumerating(self, monkeypatch, mode, size):
         big = Graph.from_edges(18, [(i, i + 1) for i in range(1, 18)])
-        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: pytest.fail("enumerated"))
+        for kernel in ("_best_group_counts", "_theta_by_groupings"):
+            monkeypatch.setattr(analysis, kernel, lambda *a, **k: pytest.fail("enumerated"))
         with pytest.raises(WorkBoundExceeded, match=rf"needs 2\^{size} subsets, bound is 2\^16"):
             theta_vector(big, mode, work_bound=16)
 
     def test_analyze_enumerates_theta_once(self, monkeypatch, capsys):
-        kernel = analysis._best_group_counts
         calls = []
-        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: calls.append(a) or kernel(*a, **k))
+        for name in ("_best_group_counts", "_theta_by_groupings"):
+            kernel = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *a, kernel=kernel, **k: calls.append(a) or kernel(*a, **k))
         s = bundled_scenario("theta_example")
         limit = cluster_upper_bound(s.game)
         assert len(calls) == 1  # the bound needs theta here
