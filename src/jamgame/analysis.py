@@ -66,143 +66,143 @@ class ThetaVector:
 def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WORK_BOUND_THETA) -> ThetaVector:
     """Exact maximal group counts over every attack-set size.
 
-    Edge mode enumerates all edge subsets; node mode removes the attacked
-    vertices with their incident edges and counts groups among the remainder,
-    so the last entry is 0. Both refuse before any enumeration when 2^items
-    exceeds the bound. Node mode, and edge mode on a graph with more ways to
-    split its vertices into groups than edge subsets (a forest, say), run one
-    incremental depth-first pass over the subsets (_best_group_counts). The
-    pass skips every branch that cannot raise a group count, using that
-    Theta_r never falls in edge mode and Theta_r + r never falls in node mode;
-    the result stays exact. A forest in edge mode gets no pruning and walks
-    every subset. Edge mode on any other graph walks every split of the
-    vertices into groups instead (_theta_by_groupings), whose cost depends on
-    the vertex count alone, not on which edges the graph has.
+    Edge mode removes the attacked edges and counts the groups left. Node mode
+    removes the attacked vertices with their incident edges and counts groups
+    among the remainder, so the last entry is 0. Both refuse before any
+    enumeration when 2^items exceeds the bound. Edge mode walks the closed
+    edge sets (_theta_by_flats), at most (m + 1)*min(Bell(n), 2^m) nodes for
+    n vertices and m edges; node mode walks the vertex subsets by
+    branch-and-bound (_best_group_counts).
     """
     node_mode = mode == NODE_ATTACK
     size = g.n if node_mode else len(g.edges)
     if size > work_bound:
         kind = "node" if node_mode else "edge"
         raise WorkBoundExceeded(f"{kind} enumeration needs 2^{size} subsets, bound is 2^{work_bound}")
-    if node_mode:
-        # a kept vertex enters as a group of its own and joins its kept lower neighbors
-        lower = {v: [] for v in range(1, g.n + 1)}
-        for u, v in g.sorted_edges:
-            lower[v].append((u, v))
-        values = _best_group_counts(g.n, [(1 << v, lower[v]) for v in lower], present=0)
-    elif g.n <= size + 1 and _bell(g.n) <= 1 << size:  # Bell(n) >= 2^(n-1)
-        values = _theta_by_groupings(g.n, g.sorted_edges)
-    else:
-        every_vertex = sum(1 << v for v in range(1, g.n + 1))
-        values = _best_group_counts(g.n, [(0, [e]) for e in g.sorted_edges], present=every_vertex)
-    return ThetaVector(mode=mode, values=tuple(values))
+    kernel = _best_group_counts if node_mode else _theta_by_flats
+    return ThetaVector(mode=mode, values=tuple(kernel(g.n, g.sorted_edges)))
 
 
-def _best_group_counts(n: int, items: list[tuple[int, list[Edge]]], present: int) -> list[int]:
-    """Most groups left after removing exactly r items, for r = 1..len(items).
+def _theta_by_flats(n: int, edges: tuple[Edge, ...]) -> list[int]:
+    """Edge-mode Theta_r for r = 1..len(edges): most groups left after removing exactly r edges.
 
-    One depth-first pass decides each item in turn: removed, or kept. Keeping
-    (vertex_bits, links) makes vertex_bits present, each a group of its own,
-    then joins the groups at the two ends of every link whose ends are both
-    present. `present` holds the vertices there before any item (bit v for
-    vertex v). A group is the int bitmask of its vertices, stored at each
-    member, so a join rewrites only the members of the two groups it merges
-    and a subset costs no graph, set or search of its own.
+    The groups an optimal attack leaves can be taken connected, so it is
+    enough to walk the flats (closed edge sets) of the graph's cycle matroid:
+    kept edges that include every edge whose two ends they connect. One
+    depth-first pass decides each edge in turn, removed then kept, and keeps
+    each prefix closed: an edge whose two ends are already in one group is
+    only kept, and keeping an edge that would join two groups with a removed
+    edge between them ends the branch (cut[v] has bit u for each removed edge
+    u-v). The prefixes at depth d are the flats of the first d edges, at most
+    min(Bell(n), 2^d) of them.
 
-    The pass is an exact branch-and-bound. Keeping one item adds at most
-    `rise` groups (0 for edges, 1 for vertices), so removing one more item
-    from an optimal set costs at most `rise` groups and
-    f(r) = Theta_r + rise*r never falls as r grows. Invariant: best[r] is the
-    most groups + rise*removed over the leaves visited so far with at most r
+    The pass is an exact branch-and-bound. best[r] is the most groups over
+    the leaves visited so far with at most r removals. Below a node removals
+    only rise and groups only fall, and Theta_r never falls as r grows, so a
+    node whose groups best[removed] already reaches cannot raise any entry
+    and is skipped.
+    """
+    m = len(edges)
+    best = [0] * (m + 1)
+    cut = [0] * (n + 1)
+    steps = [(u, v, 1 << u, 1 << v) for u, v in edges]
+
+    def visit(d: int, group_of: list[int], groups: int, removed: int) -> None:
+        if best[removed] >= groups:
+            return
+        if d == m:
+            for r in range(removed, m + 1):
+                if best[r] >= groups:
+                    break
+                best[r] = groups
+            return
+        u, v, bit_u, bit_v = steps[d]
+        a, b = group_of[u], group_of[v]
+        if a == b:
+            visit(d + 1, group_of, groups, removed)
+            return
+        cut[u] |= bit_v
+        cut[v] |= bit_u
+        visit(d + 1, group_of, groups, removed + 1)
+        cut[u] ^= bit_v
+        cut[v] ^= bit_u
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        rest = a
+        while rest:
+            low = rest & -rest
+            if cut[low.bit_length() - 1] & b:
+                return
+            rest ^= low
+        visit(d + 1, _joined(group_of, a | b), groups - 1, removed)
+
+    visit(0, [1 << v for v in range(n + 1)], n, 0)
+    return best[1:]
+
+
+def _best_group_counts(n: int, edges: tuple[Edge, ...]) -> list[int]:
+    """Node-mode Theta_r for r = 1..n: most groups left after removing exactly r vertices.
+
+    One depth-first pass decides vertex 1, 2, ..., n in turn: removed, or
+    kept. A kept vertex enters as a group of its own and joins the groups of
+    its kept lower neighbors (_joined), so a subset costs no graph, set or
+    search of its own.
+
+    The pass is an exact branch-and-bound. Keeping one vertex adds at most one
+    group, so removing one more vertex from an optimal set costs at most one
+    group and f(r) = Theta_r + r never falls as r grows. Invariant: best[r] is
+    the most groups + removed over the leaves visited so far with at most r
     removals, so best never falls along r; a leaf fills its value into
     best[removed], best[removed+1], ... while they are lower, and at the end
     best[r] = f(r). A leaf below a node with `removed` removals at depth d
-    scores at most groups + rise*(removed + m - d), since a kept item adds at
-    most `rise` groups and a join only lowers the count; when best[removed]
-    already reaches that, no leaf below can raise any entry and the branch is
-    skipped. Exactness does not depend on the visit order. On a forest in
-    edge mode every kept edge joins two groups, so the bound is loose and
-    every subset is still walked.
+    scores at most groups + removed + n - d, since a kept vertex adds at most
+    one group and a join only lowers the count; when best[removed] already
+    reaches that, no leaf below can raise any entry and the branch is
+    skipped. Exactness does not depend on the visit order.
     """
-    m = len(items)
-    best = [0] * (m + 1)
-    steps = [(bits, bits.bit_count(), [(u, v, 1 << u | 1 << v) for u, v in links]) for bits, links in items]
-    rise = max((added for _, added, _ in steps), default=0)
+    best = [0] * (n + 1)
+    lower = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        lower[v].append((u, 1 << u))
+    steps = [(v, 1 << v, lower[v]) for v in range(1, n + 1)]
 
     def visit(d: int, group_of: list[int], present: int, groups: int, removed: int) -> None:
-        top = groups + rise * (removed + m - d)  # no leaf below scores more
+        top = groups + removed + n - d  # no leaf below scores more
         if best[removed] >= top:
             return
-        if d == m:  # a leaf, and top is its own score
-            for r in range(removed, m + 1):
+        if d == n:  # a leaf, and top is its own score
+            for r in range(removed, n + 1):
                 if best[r] >= top:
                     break
                 best[r] = top
             return
         visit(d + 1, group_of, present, groups, removed + 1)
-        bits, added, links = steps[d]
-        present |= bits
-        groups += added
-        for u, v, ends in links:
-            if present & ends == ends and group_of[u] != group_of[v]:
-                joined = group_of[u] | group_of[v]
-                group_of = group_of.copy()
-                rest = joined
-                while rest:
-                    low = rest & -rest
-                    group_of[low.bit_length() - 1] = joined
-                    rest ^= low
+        v, bit, links = steps[d]
+        present |= bit
+        groups += 1
+        for u, bit_u in links:
+            if present & bit_u and group_of[u] != group_of[v]:
+                group_of = _joined(group_of, group_of[u] | group_of[v])
                 groups -= 1
         visit(d + 1, group_of, present, groups, removed)
 
-    visit(0, [1 << v for v in range(n + 1)], present, present.bit_count(), 0)
-    return [best[r] - rise * r for r in range(1, m + 1)]
+    visit(0, [1 << v for v in range(n + 1)], 0, 0, 0)
+    return [best[r] - r for r in range(1, n + 1)]
 
 
-def _theta_by_groupings(n: int, edges: tuple[Edge, ...]) -> list[int]:
-    """Edge-mode Theta_r for r = 1..len(edges), from every split of the vertices into groups.
+def _joined(group_of: list[int], members: int) -> list[int]:
+    """A copy of group_of with `members` made one group.
 
-    One depth-first pass puts vertex 1, 2, ..., n in turn into each group made
-    so far and into a new one of its own, counting the edges that end up
-    between two groups; a group is the int bitmask of its vertices. fewest[k]
-    is the fewest such edges over the splits into k groups. Then
-    Theta_r = max{k : fewest[k] <= r}: removing the edges between the groups
-    of such a split, and any r - fewest[k] more, leaves at least k groups, and
-    the groups left by any r removals are a split with at most r edges between
-    them. The pass visits every split, Bell(n) of them, whatever the edges.
+    group_of[v] is the int bitmask of v's group, stored at each member, so a
+    join rewrites only the members of the groups it merges.
     """
-    m = len(edges)
-    lower = [0] * (n + 1)  # bit u of lower[v]: an edge to a vertex u < v
-    for u, v in edges:
-        lower[max(u, v)] |= 1 << min(u, v)
-    fewest = [m + 1] * (n + 1)
-
-    def place(v: int, groups: list[int], between: int) -> None:
-        if v > n:
-            fewest[len(groups)] = min(fewest[len(groups)], between)
-            return
-        back = lower[v]
-        for i, members in enumerate(groups):
-            groups[i] = members | 1 << v
-            place(v + 1, groups, between + (back & ~members).bit_count())
-            groups[i] = members
-        groups.append(1 << v)
-        place(v + 1, groups, between + back.bit_count())
-        groups.pop()
-
-    place(1, [], 0)
-    return [max(k for k in range(1, n + 1) if fewest[k] <= r) for r in range(1, m + 1)]
-
-
-def _bell(n: int) -> int:
-    """Ways to split n vertices into groups: the Bell number, by the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+    group_of = group_of.copy()
+    rest = members
+    while rest:
+        low = rest & -rest
+        group_of[low.bit_length() - 1] = members
+        rest ^= low
+    return group_of
 
 
 # --- configuration-level conditions -------------------------------------------

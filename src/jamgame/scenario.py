@@ -59,6 +59,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _check_state_length(self.initial_state, self.game.graph.n)
+        if self.game.graph.n < 2:
+            raise ScenarioError("graph.n", f"a game needs at least 2 agents, got {self.game.graph.n}")
         if not is_connected(self.game.graph):
             raise ScenarioError("graph", "base graph must be connected")
         if self.K < 1:
@@ -127,12 +129,12 @@ def edge_key(edge) -> str:
 
 
 def parse_edge_key(key: str, field: str):
-    """The edge an `edge_key` text names; other text is refused as a ScenarioError on `field`."""
-    try:
-        a, b = key.split("-")
-        return (int(a), int(b))
-    except ValueError as exc:
-        raise ScenarioError(field, f"bad edge key {key!r}, expected 'i-j'") from exc
+    """The edge an `edge_key` text names; any other text, "01-2" or "2-1_0" say, is refused as a ScenarioError on `field`."""
+    a, _, b = key.partition("-")
+    edge = (int(a), int(b)) if a.isdecimal() and b.isdecimal() else None
+    if edge is None or edge_key(edge) != key:
+        raise ScenarioError(field, f"bad edge key {key!r}, expected 'i-j'")
+    return edge
 
 
 @contextmanager
@@ -334,10 +336,22 @@ def dumps_scenario(s: Scenario) -> str:
     return json.dumps(scenario_to_dict(s), indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused, not resolved to its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError("<file>", f"key {key!r} appears more than once in one object")
+        data[key] = value
+    return data
+
+
 @unlimited_digits()
 def loads_scenario(text: str) -> Scenario:
     try:
-        data = json.loads(text, parse_float=as_fraction)
+        data = json.loads(text, parse_float=as_fraction, object_pairs_hook=_unique_keys)
+    except ScenarioError:
+        raise
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # a number as_fraction refuses

@@ -130,30 +130,6 @@ class TestThetaKernel:
         for g in random_graphs(seed):
             assert theta_vector(g, mode).values == reference_theta(g, mode), g
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_both_edge_kernels_match_reference_enumeration(self, seed):
-        # theta_vector picks one per graph; each must be exact on every graph
-        for g in random_graphs(seed):
-            every_vertex = sum(1 << v for v in range(1, g.n + 1))
-            walk = analysis._best_group_counts(g.n, [(0, [e]) for e in g.sorted_edges], present=every_vertex)
-            expected = list(reference_theta(g, "edge"))
-            assert walk == expected, g
-            assert analysis._theta_by_groupings(g.n, g.sorted_edges) == expected, g
-
-    def test_dense_edge_mode_walks_groupings_and_forests_walk_subsets(self, monkeypatch):
-        # 4,140 splits of 8 vertices against 2^16 subsets of 16 edges: the split
-        # walk, whose cost does not depend on which 16 edges the graph has
-        assert [analysis._bell(n) for n in range(10)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
-        dense = Graph.from_edges(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)][:16])
-        path = Graph.from_edges(8, [(i, i + 1) for i in range(1, 8)])
-        kernel = analysis._best_group_counts
-        monkeypatch.setattr(analysis, "_best_group_counts", lambda *a, **k: pytest.fail("walked subsets"))
-        assert theta_vector(dense).values == reference_theta(dense, "edge")
-        monkeypatch.setattr(analysis, "_best_group_counts", kernel)
-        monkeypatch.setattr(analysis, "_theta_by_groupings", lambda *a, **k: pytest.fail("walked splits"))
-        assert theta_vector(path).values == tuple(range(2, 9))
-        assert theta_vector(dense, "node").values == reference_theta(dense, "node")
-
     def test_complete_graph_in_edge_mode_matches_closed_form(self):
         # k groups of K_n cost at least (k-1)*n - k(k-1)/2 removed edges: cut k-1 vertices off alone
         n = 8
@@ -163,6 +139,26 @@ class TestThetaKernel:
         )
         assert theta_in_child(n, edges, "edge") == expected
 
+    def test_bridged_complete_blocks_match_closed_form(self):
+        # three K5s chained by two bridges: a bridge adds one group per removed
+        # edge, a K5 block adds k - 1 groups for K5's closed form in k
+        def k5_groups(r):
+            return max(k for k in range(1, 6) if (k - 1) * 5 - k * (k - 1) // 2 <= r)
+
+        blocks = [[(5 * b + i, 5 * b + j) for i, j in itertools.combinations(range(1, 6), 2)] for b in range(3)]
+        edges = [*blocks[0], (5, 6), *blocks[1], (10, 11), *blocks[2]]
+        expected = tuple(
+            max(
+                1 + bridges + sum(k5_groups(x) - 1 for x in split)
+                for bridges in range(min(r, 2) + 1)
+                for split in itertools.product(range(11), repeat=3)
+                if sum(split) == r - bridges
+            )
+            for r in range(1, len(edges) + 1)
+        )
+        assert expected[:2] == (2, 3)
+        assert theta_in_child(15, edges, "edge") == expected
+
     def test_star_in_node_mode_matches_closed_form(self):
         # removing the center first leaves every survivor a group of its own
         n = 28
@@ -171,14 +167,14 @@ class TestThetaKernel:
     @pytest.mark.parametrize("mode, size", [("edge", 17), ("node", 18)])
     def test_gate_refuses_before_enumerating(self, monkeypatch, mode, size):
         big = Graph.from_edges(18, [(i, i + 1) for i in range(1, 18)])
-        for kernel in ("_best_group_counts", "_theta_by_groupings"):
+        for kernel in ("_best_group_counts", "_theta_by_flats"):
             monkeypatch.setattr(analysis, kernel, lambda *a, **k: pytest.fail("enumerated"))
         with pytest.raises(WorkBoundExceeded, match=rf"needs 2\^{size} subsets, bound is 2\^16"):
             theta_vector(big, mode, work_bound=16)
 
     def test_analyze_enumerates_theta_once(self, monkeypatch, capsys):
         calls = []
-        for name in ("_best_group_counts", "_theta_by_groupings"):
+        for name in ("_best_group_counts", "_theta_by_flats"):
             kernel = getattr(analysis, name)
             monkeypatch.setattr(analysis, name, lambda *a, kernel=kernel, **k: calls.append(a) or kernel(*a, **k))
         s = bundled_scenario("theta_example")

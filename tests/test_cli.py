@@ -277,6 +277,20 @@ def test_null_price_exits_2(command, section, key, tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid scenario: {section}: {key} must be a price, got None\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "analyze", "sweep"])
+def test_one_agent_scenario_exits_2(command, tmp_path, capsys):
+    # analyze once failed here with a traceback from edge connectivity, which needs two vertices
+    data = scenario_to_dict(small_scenario())
+    data["graph"] = {"n": 1, "edges": []}
+    data["initial_state"] = [1]
+    path = tmp_path / "one_agent.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--output", str(tmp_path / "out")] if command in ("run", "sweep") else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid scenario: graph.n: a game needs at least 2 agents, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "analyze"])
 def test_deeply_nested_file_exits_2(command, tmp_path, capsys):
     path = tmp_path / "nested.json"

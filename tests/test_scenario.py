@@ -304,6 +304,35 @@ class TestValidation:
             load_scenario(path)
         assert e.value.field == "<file>"
 
+    def test_one_agent_rejected(self):
+        d = scenario_to_dict(sample())
+        d["graph"] = {"n": 1, "edges": []}
+        d["initial_state"] = [1]
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert str(e.value) == "graph.n: a game needs at least 2 agents, got 1"
+
+    @pytest.mark.parametrize("key", ["01-2", "1-02", "+1-2", " 1-2", "2-1_0", "1-2-3", "12", "-1-2"])
+    def test_weight_key_not_written_by_edge_key_rejected(self, key):
+        # the first four once loaded as a second name of edge 1-2, whose value overwrote the first
+        d = scenario_to_dict(bundled_scenario("case1"))
+        d["weights"] = {"kind": "matrix", "by_edge": {"1-2": "1/3", key: "1/4"}}
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(d)
+        assert str(e.value) == f"weights.by_edge: bad edge key {key!r}, expected 'i-j'"
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [('"K": 40', '"K": 3, "K": 500', "K"), ('"n": 3', '"n": 3, "n": 3', "n"), ('"name": "sample"', '"name": "a", "name": "b"', "name")],
+        ids=["K", "graph.n", "name"],
+    )
+    def test_repeated_key_rejected(self, old, new, key):
+        text = dumps_scenario(sample())
+        assert old in text
+        with pytest.raises(ScenarioError) as e:
+            loads_scenario(text.replace(old, new, 1))
+        assert str(e.value) == f"<file>: key {key!r} appears more than once in one object"
+
     def test_integral_float_accepted(self):
         d = scenario_to_dict(sample())
         d["K"] = 7.0
