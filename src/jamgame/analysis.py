@@ -72,15 +72,21 @@ def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WO
     enumeration when 2^items exceeds the bound. Edge mode walks the closed
     edge sets (_theta_by_flats), at most (m + 1)*min(Bell(n), 2^m) nodes for
     n vertices and m edges; node mode walks the vertex subsets by
-    branch-and-bound (_best_group_counts).
+    branch-and-bound (_best_group_counts). Both walks recurse one level per
+    item and take their first branch straight down, so a walk deeper than the
+    interpreter's recursion limit is refused before any search.
     """
     node_mode = mode == NODE_ATTACK
     size = g.n if node_mode else len(g.edges)
+    kind = "node" if node_mode else "edge"
     if size > work_bound:
-        kind = "node" if node_mode else "edge"
         raise WorkBoundExceeded(f"{kind} enumeration needs 2^{size} subsets, bound is 2^{work_bound}")
     kernel = _best_group_counts if node_mode else _theta_by_flats
-    return ThetaVector(mode=mode, values=tuple(kernel(g.n, g.sorted_edges)))
+    try:
+        values = kernel(g.n, g.sorted_edges)
+    except RecursionError:
+        raise WorkBoundExceeded(f"{kind} enumeration recurses {size} deep, past the interpreter's recursion limit") from None
+    return ThetaVector(mode=mode, values=tuple(values))
 
 
 def _theta_by_flats(n: int, edges: tuple[Edge, ...]) -> list[int]:

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,82 +65,60 @@ GRID_PARAMS = {
 # --- run summaries -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    owner: str
-    decision_index: int
-    start_time: int
-    utility: Fraction
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    name: str
-    verdict: str
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_count: int
-    cluster_bound: int
-    within_bound: bool | None
-    union_connected: bool | None
-    steps: int
-    converged_at: int | None
-    attacker_spent: Fraction
-    attacker_wasted: Fraction
-    defender_spent: Fraction
-    defender_wasted: Fraction
-    decisions: tuple[DecisionRecord, ...]
-
-
-def summarize(trace: Trace) -> RunSummary:
-    """Condense a trace into the report the CLI prints and serializes."""
+def summarize(trace: Trace) -> dict:
+    """The object summary.json holds: the clusters against their bound, both ledgers, every decision's utility."""
     s = trace.scenario
     verdict = consensus_verdict(trace)
     bound = cluster_upper_bound(s.game, work_bound=s.work_bound_theta)
     count = verdict.clusters.group_count
     last = trace.steps[-1]
-    return RunSummary(
-        name=s.name,
-        verdict=verdict.verdict,
-        clusters=tuple(tuple(sorted(c)) for c in verdict.clusters.groups),
-        cluster_count=count,
-        cluster_bound=bound,
-        within_bound=None if verdict.verdict == "undecided" else count <= bound,
-        union_connected=verdict.union_connected,
-        steps=len(trace.steps),
-        converged_at=trace.converged_at,
-        attacker_spent=last.attacker_spent,
-        attacker_wasted=last.attacker_wasted,
-        defender_spent=last.defender_spent,
-        defender_wasted=last.defender_wasted,
-        decisions=tuple(
-            DecisionRecord(p.owner, p.decision_index, p.start_time, p.utility) for p in trace.plans
-        ),
-    )
+    return {
+        "name": s.name,
+        "verdict": verdict.verdict,
+        "clusters": [sorted(c) for c in verdict.clusters.groups],
+        "cluster_count": count,
+        "cluster_bound": bound,
+        "within_bound": None if verdict.verdict == "undecided" else count <= bound,
+        "union_connected": verdict.union_connected,
+        "steps": len(trace.steps),
+        "converged_at": trace.converged_at,
+        "attacker_spent": str(last.attacker_spent),
+        "attacker_wasted": str(last.attacker_wasted),
+        "defender_spent": str(last.defender_spent),
+        "defender_wasted": str(last.defender_wasted),
+        "decisions": [
+            {
+                "owner": p.owner,
+                "decision_index": p.decision_index,
+                "start_time": p.start_time,
+                "utility": str(p.utility),
+            }
+            for p in trace.plans
+        ],
+    }
 
 
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 
-def summary_text(summary: RunSummary) -> str:
-    groups = " ".join("{" + ",".join(map(str, c)) + "}" for c in summary.clusters)
-    within = {True: "yes", False: "NO", None: "n/a"}[summary.within_bound]
-    converged = "not within step limit" if summary.converged_at is None else f"at k={summary.converged_at}"
+def summary_text(summary: dict) -> str:
+    groups = " ".join("{" + ",".join(map(str, c)) + "}" for c in summary["clusters"])
+    within = {True: "yes", False: "NO", None: "n/a"}[summary["within_bound"]]
+    converged = "not within step limit" if summary["converged_at"] is None else f"at k={summary['converged_at']}"
     lines = [
-        f"scenario: {summary.name}",
-        f"verdict: {summary.verdict}",
+        f"scenario: {summary['name']}",
+        f"verdict: {summary['verdict']}",
         f"clusters: {groups}",
-        f"cluster count: {summary.cluster_count} (bound {summary.cluster_bound}, within bound: {within})",
-        f"steps: {summary.steps} (settled {converged})",
-        f"attacker spent: {summary.attacker_spent} (wasted {summary.attacker_wasted})",
-        f"defender spent: {summary.defender_spent} (wasted {summary.defender_wasted})",
-        f"decisions: {len(summary.decisions)} (per-decision utilities in summary.json)",
+        f"cluster count: {summary['cluster_count']} (bound {summary['cluster_bound']}, within bound: {within})",
+        f"steps: {summary['steps']} (settled {converged})",
+        f"attacker spent: {summary['attacker_spent']} (wasted {summary['attacker_wasted']})",
+        f"defender spent: {summary['defender_spent']} (wasted {summary['defender_wasted']})",
+        f"decisions: {len(summary['decisions'])} (per-decision utilities in summary.json)",
     ]
     return "\n".join(lines)
 
@@ -153,16 +130,24 @@ def _edges_str(edges) -> str:
     return ";".join(edge_key(e) for e in sorted(edges))
 
 
-def _edges_parse(text: str) -> frozenset[Edge]:
-    return frozenset(parse_edge_key(item, "edges") for item in text.split(";")) if text else frozenset()
-
-
 def _nodes_str(nodes) -> str:
     return ";".join(str(v) for v in sorted(nodes))
 
 
+def _read_items(text: str, read_item, write) -> frozenset:
+    """A ';'-separated cell, accepted only if `write` gives back the same text: sorted, no repeats, no other spelling."""
+    items = frozenset(map(read_item, text.split(";"))) if text else frozenset()
+    if write(items) != text:
+        raise ValueError(f"item list {text!r} is not written as {write(items)!r}")
+    return items
+
+
+def _edges_parse(text: str) -> frozenset[Edge]:
+    return _read_items(text, lambda key: parse_edge_key(key, "edges"), _edges_str)
+
+
 def _nodes_parse(text: str) -> frozenset[int]:
-    return frozenset(int(v) for v in text.split(";")) if text else frozenset()
+    return _read_items(text, int, _nodes_str)
 
 
 def _attack_json(a: AttackAction) -> dict:
@@ -232,60 +217,48 @@ def write_plans_csv(trace: Trace, path: Path) -> None:
 
 
 @unlimited_digits()
-def read_trace_csv(path: Path, scenario: Scenario) -> tuple[tuple[TraceStep, ...], int | None]:
-    with open(path, newline="") as fh:
+def read_run(outdir: Path, scenario: Scenario) -> Trace:
+    """Rebuild a trace from the trace.csv and plans.csv that cmd_run wrote."""
+    with open(outdir / "trace.csv", newline="") as fh:
         version_line = fh.readline().strip()
         if version_line != f"# trace_version {TRACE_VERSION}":
             raise ValueError(f"unsupported trace header: {version_line!r}")
         converged_text = fh.readline().strip().removeprefix("# converged_at ")
         converged_at = None if converged_text == "none" else int(converged_text)
-        steps = []
-        for row in csv.DictReader(fh):
-            steps.append(
-                TraceStep(
-                    k=int(row["k"]),
-                    attack=_attack_from(row),
-                    defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
-                    defense_effective=_edges_parse(row["recover_effective"]),
-                    resolved_edges=_edges_parse(row["resolved"]),
-                    state=make_state([row[f"x{i}"] for i in range(1, scenario.game.graph.n + 1)]),
-                    attacker_spent=as_fraction(row["attacker_spent"]),
-                    attacker_wasted=as_fraction(row["attacker_wasted"]),
-                    defender_spent=as_fraction(row["defender_spent"]),
-                    defender_wasted=as_fraction(row["defender_wasted"]),
-                    payoff=as_fraction(row["payoff"]),
-                )
+        steps = tuple(
+            TraceStep(
+                k=int(row["k"]),
+                attack=_attack_from(row),
+                defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
+                defense_effective=_edges_parse(row["recover_effective"]),
+                resolved_edges=_edges_parse(row["resolved"]),
+                state=make_state([row[f"x{i}"] for i in range(1, scenario.game.graph.n + 1)]),
+                attacker_spent=as_fraction(row["attacker_spent"]),
+                attacker_wasted=as_fraction(row["attacker_wasted"]),
+                defender_spent=as_fraction(row["defender_spent"]),
+                defender_wasted=as_fraction(row["defender_wasted"]),
+                payoff=as_fraction(row["payoff"]),
             )
-    return tuple(steps), converged_at
-
-
-@unlimited_digits()
-def read_plans_csv(path: Path) -> tuple[Plan, ...]:
+            for row in csv.DictReader(fh)
+        )
     plans = []
-    with open(path, newline="") as fh:
+    with open(outdir / "plans.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             raw = json.loads(row["steps"])
             if row["owner"] == ATTACKER:
-                steps = tuple(_attack_from(d) for d in raw)
+                plan_steps = tuple(_attack_from(d) for d in raw)
             else:
-                steps = tuple(DefenseAction(_edges_parse(d["recover"])) for d in raw)
+                plan_steps = tuple(DefenseAction(_edges_parse(d["recover"])) for d in raw)
             plans.append(
                 Plan(
                     owner=row["owner"],
                     decision_index=int(row["decision_index"]),
                     start_time=int(row["start_time"]),
-                    steps=steps,
+                    steps=plan_steps,
                     utility=as_fraction(row["utility"]),
                 )
             )
-    return tuple(plans)
-
-
-def read_run(outdir: Path, scenario: Scenario) -> Trace:
-    """Rebuild a trace from the files cmd_run wrote."""
-    steps, converged_at = read_trace_csv(outdir / "trace.csv", scenario)
-    plans = read_plans_csv(outdir / "plans.csv")
-    return Trace(scenario=scenario, steps=steps, plans=plans, converged_at=converged_at)
+    return Trace(scenario=scenario, steps=steps, plans=tuple(plans), converged_at=converged_at)
 
 
 def _plot_float(value: Fraction) -> float:
@@ -355,9 +328,15 @@ def _game_gate(scenario: Scenario, override: int | None) -> None:
         )
 
 
+def _theta_gate(scenario: Scenario) -> None:
+    """Refuse before the game what summarize would refuse after it: a cluster bound whose theta exceeds work_bounds.theta."""
+    cluster_upper_bound(scenario.game, work_bound=scenario.work_bound_theta)
+
+
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
     _game_gate(scenario, args.work_bound)
+    _theta_gate(scenario)
     outdir = _output_dir(args.output)
     trace = run(scenario)
     summary = summarize(trace)
@@ -365,7 +344,7 @@ def cmd_run(args) -> int:
     write_trace_csv(trace, outdir / "trace.csv")
     write_plans_csv(trace, outdir / "plans.csv")
     write_plot_csvs(trace, outdir)
-    summary_json = json.dumps(_jsonable(summary), indent=2)
+    summary_json = json.dumps(summary, indent=2)
     with open(outdir / "summary.json", "w") as fh:
         fh.write(summary_json)
         fh.write("\n")
@@ -459,6 +438,7 @@ def cmd_sweep(args) -> int:
         try:
             scenario = _apply_point(base, point, row["name"])
             _game_gate(scenario, args.work_bound)
+            _theta_gate(scenario)
             summary = summarize(run(scenario))
         except ScenarioError as err:
             row["status"] = "validation_error"
@@ -467,8 +447,7 @@ def cmd_sweep(args) -> int:
             row["status"] = "work_bound_exceeded"
             row["error"] = str(err)
         else:
-            fields = _jsonable(summary)
-            row.update({c: fields[c] for c in SWEEP_COLUMNS if c in fields}, status="ok")
+            row.update({c: summary[c] for c in SWEEP_COLUMNS if c in summary}, status="ok")
         rows.append(row)
 
     table = outdir / "sweep.csv"

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +22,7 @@ from jamgame.network import Graph
 from jamgame.rolling import Trace, run
 from jamgame.scenario import (
     Scenario,
+    bundled_names,
     bundled_scenario,
     dumps_scenario,
     load_scenario,
@@ -149,6 +152,28 @@ class TestRun:
         energy = list(csv.DictReader((outdir / "plot_energy.csv").read_text().splitlines()))
         assert float(energy[0]["attacker_budget"]) == 1.5
 
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_summary_json_is_the_summary_of_the_files_beside_it(self, name, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", name, "--output", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == summarize(read_run(tmp_path, bundled_scenario(name)))
+
+    @pytest.mark.parametrize("name", ["fig1_schedule", "case1"])
+    def test_theta_bound_refuses_before_the_game(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("jamgame.rolling.solve_decision", lambda *a, **k: pytest.fail("played"))
+        data = scenario_to_dict(bundled_scenario(name))
+        data["work_bounds"]["theta"] = 1
+        path = tmp_path / "theta1.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("work bound exceeded: edge enumeration needs 2^") and err.endswith("bound is 2^1\n")
+        assert not (tmp_path / "out").exists()
+        assert main(["sweep", str(path), "--output", str(tmp_path / "sweep")]) == 0
+        row = next(csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()))
+        assert (row["status"], row["error"]) == ("work_bound_exceeded", err.removeprefix("work bound exceeded: ").strip())
+
     def test_oversized_instance_exits_3(self, tmp_path, capsys):
         s = Scenario(path_game(7, h=(6, 2), T=(1, 2)), make_state(range(1, 8)), K=10, name="big")
         path = tmp_path / "big.json"
@@ -166,10 +191,10 @@ class TestSweep:
         expected = summarize(run(small_scenario()))
         row = rows[0]
         assert row["status"] == "ok"
-        assert row["verdict"] == expected.verdict
-        assert row["cluster_count"] == str(expected.cluster_count)
-        assert row["attacker_spent"] == str(expected.attacker_spent)
-        assert row["defender_wasted"] == str(expected.defender_wasted)
+        assert row["verdict"] == expected["verdict"]
+        assert row["cluster_count"] == str(expected["cluster_count"])
+        assert row["attacker_spent"] == expected["attacker_spent"]
+        assert row["defender_wasted"] == expected["defender_wasted"]
 
     def test_grid_over_two_axes(self, scenario_file, tmp_path):
         outdir = tmp_path / "out"
@@ -328,22 +353,57 @@ def test_huge_decimal_exponent_in_a_grid_exits_2(scenario_file, tmp_path):
     assert "decimal exponent of magnitude above 100000" in done.stderr
 
 
-@pytest.mark.parametrize(("name", "column"), [("trace.csv", "payoff"), ("plans.csv", "utility")])
-def test_huge_decimal_exponent_in_a_run_file_is_refused(name, column, tmp_path, capsys):
-    assert main(["run", "case1", "--output", str(tmp_path)]) == 0
-    path = tmp_path / name
+def _set_run_cell(outdir, name, column, value):
+    """Rewrite the first data row's `column` of the run file `name` in place."""
+    path = outdir / name
     lines = path.read_text().splitlines(keepends=True)
     skip = 2 if name == "trace.csv" else 0  # the trace's version and convergence lines
     rows = list(csv.reader(lines[skip:]))
-    rows[1][rows[0].index(column)] = "1e999999999"
+    rows[1][rows[0].index(column)] = value
     with open(path, "w", newline="") as fh:
         fh.writelines(lines[:skip])
         csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize(("name", "column"), [("trace.csv", "payoff"), ("plans.csv", "utility")])
+def test_huge_decimal_exponent_in_a_run_file_is_refused(name, column, tmp_path, capsys):
+    assert main(["run", "case1", "--output", str(tmp_path)]) == 0
+    _set_run_cell(tmp_path, name, column, "1e999999999")
     code = "import sys, pathlib; from jamgame.cli import read_run; from jamgame.scenario import bundled_scenario; "
     code += "read_run(pathlib.Path(sys.argv[1]), bundled_scenario('case1'))"
     done = _python("-c", code, str(tmp_path))
     assert done.returncode == 1
     assert "ValueError: decimal exponent of magnitude above 100000" in done.stderr
+
+
+@pytest.mark.parametrize(
+    ("column", "text"),
+    [("strong_nodes", "01;+2; 3;1_0"), ("strong_nodes", "3;1"), ("resolved", "2-3;2-3"), ("resolved", "2-3;1-2")],
+)
+def test_run_file_item_list_is_read_only_as_written(column, text, tmp_path, capsys):
+    assert main(["run", "case1", "--output", str(tmp_path)]) == 0
+    _set_run_cell(tmp_path, "trace.csv", column, text)
+    with pytest.raises(ValueError, match="is not written as"):
+        read_run(tmp_path, bundled_scenario("case1"))
+
+
+@pytest.mark.parametrize("graph", ["star", "path"])
+def test_theta_deeper_than_the_recursion_limit_exits_3(graph, tmp_path):
+    n = 1200
+    data = scenario_to_dict(small_scenario())
+    del data["weights"]  # the default 1/n suits every degree
+    if graph == "star":
+        data["graph"] = {"n": n, "edges": [[1, v] for v in range(2, n + 1)]}
+        data["cost_model"] = {"mode": "node", "waste": "charged"}
+    else:
+        data["graph"] = {"n": n, "edges": [[v, v + 1] for v in range(1, n)]}
+    data["initial_state"] = list(range(1, n + 1))
+    path = tmp_path / f"{graph}.json"
+    path.write_text(json.dumps(data))
+    done = _jamgame("analyze", str(path), "--work-bound", "2000")
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "past the interpreter's recursion limit" in done.stderr
 
 
 class TestExactValuesOfAnySize:

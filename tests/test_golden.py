@@ -1,7 +1,8 @@
 """Byte-identity of the bundled scenarios' run artifacts, analyze reports and
 serialized scenarios.
 
-The digests were recorded from `jamgame run <name> --json`, from the stdout of
+The digests were recorded from `jamgame run <name> --json`, from the text
+stdout of `jamgame run <name>`, from the stdout of
 `jamgame analyze <name> --json` and `jamgame validate <name> --json`, plus one
 long run of a case1 variant, case2 under the three non-default cost models and
 fig1_schedule in node mode. Any change to the solver, the simulation, the
@@ -54,6 +55,26 @@ def test_bundled_run_artifacts_are_byte_identical(name, tmp_path):
         assert main(["run", name, "--output", str(tmp_path), "--json"]) == 0
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+# `jamgame run <name>` text stdout without its last line, `artifacts: <output directory>`.
+RUN_TEXT_GOLDEN = {
+    "case1": "c99ea4ad27db64e61b324846c644098d64cf7f731711b9ce121704d47debe8f8",
+    "case2": "a2b55657fad856b54bf39711badf303eec83681ecd02ab706daf6cf17b2e7ff0",
+    "fig1_schedule": "455232f51a38f0ec10b83e9023c973176f4c952dd9a0565c933151b49ce5ed6b",
+    "prop3_regime": "b144be139d3da036d3faf4bac1a971dcb7ee966b2ee764c5b7535e55642da381",
+    "theta_example": "599280a77e8d0fc38225199487cd714350293c037a51f087fb2b96ea091150c5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TEXT_GOLDEN))
+def test_bundled_run_text_report_is_byte_identical(name, tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", name, "--output", str(tmp_path)]) == 0
+    report, artifacts = out.getvalue().rsplit("artifacts: ", 1)
+    assert artifacts == f"{tmp_path}\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == RUN_TEXT_GOLDEN[name]
 
 
 LONG_RUN_GOLDEN = {
