@@ -35,7 +35,6 @@ from .game import (
 from .network import (
     Edge,
     Graph,
-    Partition,
     apply_actions,
     edge_connectivity,
     is_connected,
@@ -51,20 +50,8 @@ class WorkBoundExceeded(RuntimeError):
 # --- splitting power of attack sets ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Maximal group counts by attack size; entry i-1 is for exactly i removals."""
-
-    mode: str
-    values: tuple[int, ...]
-
-    def at(self, i: int) -> int:
-        """Theta_i, 1-indexed like the removal count."""
-        return self.values[i - 1]
-
-
-def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WORK_BOUND_THETA) -> ThetaVector:
-    """Exact maximal group counts over every attack-set size.
+def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WORK_BOUND_THETA) -> tuple[int, ...]:
+    """Exact maximal group counts over every attack-set size: entry r - 1 is Theta_r, for exactly r removals.
 
     Edge mode removes the attacked edges and counts the groups left. Node mode
     removes the attacked vertices with their incident edges and counts groups
@@ -83,10 +70,9 @@ def theta_vector(g: Graph, mode: str = EDGE_ATTACK, work_bound: int = DEFAULT_WO
         raise WorkBoundExceeded(f"{kind} enumeration needs 2^{size} subsets, bound is 2^{work_bound}")
     kernel = _best_group_counts if node_mode else _theta_by_flats
     try:
-        values = kernel(g.n, g.sorted_edges)
+        return tuple(kernel(g.n, g.sorted_edges))
     except RecursionError:
         raise WorkBoundExceeded(f"{kind} enumeration recurses {size} deep, past the interpreter's recursion limit") from None
-    return ThetaVector(mode=mode, values=tuple(values))
 
 
 def _theta_by_flats(n: int, edges: tuple[Edge, ...]) -> list[int]:
@@ -214,23 +200,6 @@ def _joined(group_of: list[int], members: int) -> list[int]:
 # --- configuration-level conditions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Consensus-prevention inequalities evaluated for one configuration."""
-
-    edge_conn: int
-    ratio_normal: Fraction
-    ratio_strong: Fraction
-    necessary_normal: bool
-    necessary_strong: bool
-    case_a: bool
-    case_b: bool
-    tighter_applicable: bool
-    sufficient_full_split: bool
-    necessary_normal_node: bool
-    necessary_strong_node: bool
-
-
 def _cases(game: Game) -> tuple[bool, bool]:
     sched = game.schedule
     disagreement_only = game.util.b == 0
@@ -243,37 +212,38 @@ def _cases(game: Game) -> tuple[bool, bool]:
     return case_a, case_b
 
 
-def check_conditions(game: Game) -> ConditionReport:
-    """Evaluate the consensus-prevention inequalities and their applicability.
+def check_conditions(game: Game) -> dict:
+    """Evaluate the consensus-prevention inequalities and their applicability, by name.
 
     The rate-per-price ratios are compared against edge connectivity for edge
     attacks and against 1 for node attacks, where isolating a single agent
     already prevents consensus. The tighter (strong-price) necessary condition
     applies only when the objective ignores grouping and the defender either
     re-decides every step or spans the attacker's window on a nested cadence.
+    The ratios stay exact Fractions.
     """
     g, attacker = game.graph, game.attacker_energy
     lam = edge_connectivity(g)
     r_normal = attacker.rho / attacker.beta_normal
     r_strong = attacker.rho / attacker.beta_strong
     case_a, case_b = _cases(game)
-    return ConditionReport(
-        edge_conn=lam,
-        ratio_normal=r_normal,
-        ratio_strong=r_strong,
-        necessary_normal=r_normal >= lam,
-        necessary_strong=r_strong >= lam,
-        case_a=case_a,
-        case_b=case_b,
-        tighter_applicable=case_a or case_b,
-        sufficient_full_split=r_strong >= len(g.edges),
-        necessary_normal_node=r_normal >= 1,
-        necessary_strong_node=r_strong >= 1,
-    )
+    return {
+        "edge_conn": lam,
+        "ratio_normal": r_normal,
+        "ratio_strong": r_strong,
+        "necessary_normal": r_normal >= lam,
+        "necessary_strong": r_strong >= lam,
+        "case_a": case_a,
+        "case_b": case_b,
+        "tighter_applicable": case_a or case_b,
+        "sufficient_full_split": r_strong >= len(g.edges),
+        "necessary_normal_node": r_normal >= 1,
+        "necessary_strong_node": r_strong >= 1,
+    }
 
 
 def cluster_upper_bound(
-    game: Game, work_bound: int = DEFAULT_WORK_BOUND_THETA, theta: ThetaVector | None = None
+    game: Game, work_bound: int = DEFAULT_WORK_BOUND_THETA, theta: tuple[int, ...] | None = None
 ) -> int:
     """Largest cluster count the attacker's energy admits at infinite time.
 
@@ -300,7 +270,7 @@ def cluster_upper_bound(
         return 1
     if theta is None:
         theta = theta_vector(g, mode, work_bound)
-    return theta.at(index)
+    return theta[index - 1]
 
 
 # --- trace verdict -------------------------------------------------------------
@@ -317,7 +287,7 @@ class ConsensusVerdict:
     """
 
     verdict: str
-    clusters: Partition
+    clusters: tuple[frozenset[int], ...]
     union_connected: bool | None
 
 
@@ -329,7 +299,7 @@ def consensus_verdict(trace: Trace) -> ConsensusVerdict:
     if trace.converged_at is None:
         verdict = "undecided"
     else:
-        verdict = "consensus" if clusters.group_count == 1 else "clusters"
+        verdict = "consensus" if len(clusters) == 1 else "clusters"
 
     steps = trace.steps
     if len(steps) < window:

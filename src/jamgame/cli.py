@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation failure, 3 work bound exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import csv
 import itertools
 import json
@@ -30,7 +29,7 @@ from .analysis import (
 from .dynamics import as_fraction, make_state
 from .energy import NODE_ATTACK, budget_at
 from .game import ATTACKER, AttackAction, DefenseAction, Plan
-from .network import Edge
+from .network import Edge, Graph
 from .rolling import Trace, TraceStep, run
 from .scenario import (
     Scenario,
@@ -70,12 +69,12 @@ def summarize(trace: Trace) -> dict:
     s = trace.scenario
     verdict = consensus_verdict(trace)
     bound = cluster_upper_bound(s.game, work_bound=s.work_bound_theta)
-    count = verdict.clusters.group_count
+    count = len(verdict.clusters)
     last = trace.steps[-1]
     return {
         "name": s.name,
         "verdict": verdict.verdict,
-        "clusters": [sorted(c) for c in verdict.clusters.groups],
+        "clusters": [sorted(c) for c in verdict.clusters],
         "cluster_count": count,
         "cluster_bound": bound,
         "within_bound": None if verdict.verdict == "undecided" else count <= bound,
@@ -99,11 +98,8 @@ def summarize(trace: Trace) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return value
+    """A Fraction as its string, anything else as it is; the `default` of the reports' json.dumps."""
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def summary_text(summary: dict) -> str:
@@ -159,13 +155,22 @@ def _attack_json(a: AttackAction) -> dict:
     }
 
 
-def _attack_from(d: dict) -> AttackAction:
-    return AttackAction(
+def _attack_from(d: dict, g: Graph, mode: str) -> AttackAction:
+    """An attack's cells, refused unless its edges are its nodes' edges (node mode) or it names no nodes (edge mode)."""
+    a = AttackAction(
         _edges_parse(d["strong"]),
         _edges_parse(d["normal"]),
         strong_nodes=_nodes_parse(d["strong_nodes"]),
         normal_nodes=_nodes_parse(d["normal_nodes"]),
     )
+    if mode == NODE_ATTACK:
+        strong = g.incident_edges(a.strong_nodes)
+        agrees = a.strong == strong and a.normal == g.incident_edges(a.normal_nodes) - strong
+    else:
+        agrees = not a.node_mode
+    if not agrees:
+        raise ValueError(f"{mode}-mode attack {_attack_json(a)} has edges and nodes that disagree")
+    return a
 
 
 TRACE_COLUMNS = [
@@ -219,6 +224,7 @@ def write_plans_csv(trace: Trace, path: Path) -> None:
 @unlimited_digits()
 def read_run(outdir: Path, scenario: Scenario) -> Trace:
     """Rebuild a trace from the trace.csv and plans.csv that cmd_run wrote."""
+    g, mode = scenario.game.graph, scenario.game.cost_model.mode
     with open(outdir / "trace.csv", newline="") as fh:
         version_line = fh.readline().strip()
         if version_line != f"# trace_version {TRACE_VERSION}":
@@ -228,11 +234,11 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
         steps = tuple(
             TraceStep(
                 k=int(row["k"]),
-                attack=_attack_from(row),
+                attack=_attack_from(row, g, mode),
                 defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
                 defense_effective=_edges_parse(row["recover_effective"]),
                 resolved_edges=_edges_parse(row["resolved"]),
-                state=make_state([row[f"x{i}"] for i in range(1, scenario.game.graph.n + 1)]),
+                state=make_state([row[f"x{i}"] for i in range(1, g.n + 1)]),
                 attacker_spent=as_fraction(row["attacker_spent"]),
                 attacker_wasted=as_fraction(row["attacker_wasted"]),
                 defender_spent=as_fraction(row["defender_spent"]),
@@ -246,7 +252,7 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
         for row in csv.DictReader(fh):
             raw = json.loads(row["steps"])
             if row["owner"] == ATTACKER:
-                plan_steps = tuple(_attack_from(d) for d in raw)
+                plan_steps = tuple(_attack_from(d, g, mode) for d in raw)
             else:
                 plan_steps = tuple(DefenseAction(_edges_parse(d["recover"])) for d in raw)
             plans.append(
@@ -361,33 +367,34 @@ def cmd_analyze(args) -> int:
     game = scenario.game
     mode = game.cost_model.mode
     bound = scenario.work_bound_theta if args.work_bound is None else args.work_bound
+    theta = theta_vector(game.graph, mode, work_bound=bound)  # the gate, before edge_connectivity's max-flows
     report = check_conditions(game)
-    theta = theta_vector(game.graph, mode, work_bound=bound)
     cluster_bound = cluster_upper_bound(game, theta=theta)
     if args.json:
         print(
             json.dumps(
                 {
                     "scenario": scenario.name,
-                    "conditions": _jsonable(report),
-                    "theta": {"mode": theta.mode, "values": list(theta.values)},
+                    "conditions": report,
+                    "theta": {"mode": mode, "values": list(theta)},
                     "cluster_bound": cluster_bound,
                 },
                 indent=2,
+                default=_jsonable,
             )
         )
         return EXIT_OK
     kind = "node" if mode == NODE_ATTACK else "edge"
     print(f"scenario: {scenario.name}")
-    print(f"edge connectivity: {report.edge_conn}")
-    print(f"normal-rate ratio rho/beta: {report.ratio_normal}")
-    print(f"strong-rate ratio rho/beta_strong: {report.ratio_strong}")
-    print(f"necessary (normal price): {report.necessary_normal}")
-    print(f"necessary (strong price): {report.necessary_strong}")
-    print(f"tighter condition applicable: {report.tighter_applicable} (case a: {report.case_a}, case b: {report.case_b})")
-    print(f"sufficient for full split: {report.sufficient_full_split}")
-    print(f"node-attack thresholds: normal {report.necessary_normal_node}, strong {report.necessary_strong_node}")
-    print(f"theta ({kind} removals 1..{len(theta.values)}): {list(theta.values)}")
+    print(f"edge connectivity: {report['edge_conn']}")
+    print(f"normal-rate ratio rho/beta: {report['ratio_normal']}")
+    print(f"strong-rate ratio rho/beta_strong: {report['ratio_strong']}")
+    print(f"necessary (normal price): {report['necessary_normal']}")
+    print(f"necessary (strong price): {report['necessary_strong']}")
+    print(f"tighter condition applicable: {report['tighter_applicable']} (case a: {report['case_a']}, case b: {report['case_b']})")
+    print(f"sufficient for full split: {report['sufficient_full_split']}")
+    print(f"node-attack thresholds: normal {report['necessary_normal_node']}, strong {report['necessary_strong_node']}")
+    print(f"theta ({kind} removals 1..{len(theta)}): {list(theta)}")
     print(f"cluster upper bound: {cluster_bound}")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .network import Edge, Graph, Partition
+from .network import Edge, Graph
 
 State = tuple[Fraction, ...]
 MAX_DECIMAL_EXPONENT = 100_000
@@ -121,8 +121,8 @@ def state_difference(x):
     return total
 
 
-def detect_clusters(x: State, tol) -> Partition:
-    """Group agents by single linkage on sorted states: a gap > tol splits clusters."""
+def detect_clusters(x: State, tol) -> tuple[frozenset[int], ...]:
+    """Agent sets by single linkage on sorted states, ordered by smallest member: a gap > tol splits clusters."""
     tol = as_fraction(tol)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -136,4 +136,4 @@ def detect_clusters(x: State, tol) -> Partition:
             groups[-1].append(idx + 1)
         prev = x[idx]
     groups.sort(key=min)
-    return Partition(tuple(frozenset(g) for g in groups))
+    return tuple(frozenset(g) for g in groups)

@@ -358,14 +358,14 @@ def step_payoff(x_next: State, g_resolved: Graph, w: UtilityWeights) -> Fraction
 def _full_action_cost(game: Game, player: str) -> Fraction:
     """Per-step price of the player's maximal action.
 
-    The defender's is recovering every edge while every edge is normally
-    attacked, which no waste mode prices lower.
+    The attacker's is attacking every item strongly, since EnergyParams keeps
+    beta_strong > beta_normal > 0. The defender's is recovering every edge
+    while every edge is normally attacked, which no waste mode prices lower.
     """
-    p = game.energy(player)
+    p, g = game.energy(player), game.graph
     if player == ATTACKER:
-        return max(cost for cost, _ in _attack_catalog(game.graph, game.cost_model.mode, p))
-    edges = game.graph.edges
-    return defense_cost(edges, edges, game.cost_model, p)[0]
+        return attack_cost(range(1, g.n + 1) if game.cost_model.mode == NODE_ATTACK else g.edges, (), p)
+    return defense_cost(g.edges, g.edges, game.cost_model, p)[0]
 
 
 def _sustainable(spent, per_step, t: int, end: int, budget) -> bool:

@@ -54,19 +54,8 @@ class Graph:
         return frozenset(e for e in self.edges if e[0] in vs or e[1] in vs)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint vertex groups covering 1..n, ordered by smallest member."""
-
-    groups: tuple[frozenset[int], ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-
-def components(g: Graph) -> Partition:
-    """Connected components of g, ordered by smallest member label."""
+def components(g: Graph) -> tuple[frozenset[int], ...]:
+    """Connected components of g as vertex sets, ordered by smallest member label."""
     adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for i, j in g.edges:
         adj[i].append(j)
@@ -87,12 +76,12 @@ def components(g: Graph) -> Partition:
                     comp.add(w)
                     queue.append(w)
         groups.append(frozenset(comp))
-    return Partition(tuple(groups))
+    return tuple(groups)
 
 
 def group_count(g: Graph) -> int:
     """Number of connected components; 1 iff g is connected."""
-    return components(g).group_count
+    return len(components(g))
 
 
 def is_connected(g: Graph) -> bool:
@@ -101,7 +90,7 @@ def is_connected(g: Graph) -> bool:
 
 def agent_group_index(g: Graph) -> int:
     """Fragmentation index sum(|group|^2) - n^2; always <= 0, 0 iff connected."""
-    return sum(len(c) ** 2 for c in components(g).groups) - g.n**2
+    return sum(len(c) ** 2 for c in components(g)) - g.n**2
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -48,39 +48,39 @@ def game(g, att, horizons, periods, util=UTIL, dfn=("0.5", "0.5", 1)):
 
 class TestThetaVector:
     def test_path(self):
-        assert theta_vector(PATH3).values == (2, 3)
+        assert theta_vector(PATH3) == (2, 3)
 
     def test_diamond(self):
-        assert theta_vector(DIAMOND4).values == (2, 2, 3, 4)
+        assert theta_vector(DIAMOND4) == (2, 2, 3, 4)
 
     def test_cycle_tolerates_one_removal(self):
-        assert theta_vector(CYCLE4).values == (1, 2, 3, 4)
+        assert theta_vector(CYCLE4) == (1, 2, 3, 4)
 
     def test_last_entry_is_n(self):
         for g in (PATH3, DIAMOND4, CYCLE4):
-            assert theta_vector(g).values[-1] == g.n
+            assert theta_vector(g)[-1] == g.n
 
     def test_monotone_on_example_graphs(self):
         # theta's branch-and-bound rests on this: Theta_r never falls in edge mode, Theta_r + r never falls in node mode
         graphs = [PATH3, DIAMOND4, CYCLE4, *(g for seed in range(4) for g in random_graphs(seed))]
         for g in graphs:
             for mode, rise in (("edge", 0), ("node", 1)):
-                for values in (theta_vector(g, mode).values, reference_theta(g, mode)):
+                for values in (theta_vector(g, mode), reference_theta(g, mode)):
                     f = [v + rise * r for r, v in enumerate(values, 1)]
                     assert all(f[i + 1] >= f[i] for i in range(len(f) - 1)), (g, mode, values)
 
     def test_node_mode_counts_survivors(self):
         # removing the middle vertex splits the endpoints; removing all leaves nobody
-        assert theta_vector(PATH3, mode="node").values == (2, 1, 0)
+        assert theta_vector(PATH3, mode="node") == (2, 1, 0)
 
     def test_one_indexed_access(self):
-        assert theta_vector(DIAMOND4).at(3) == 3
+        assert theta_vector(DIAMOND4)[3 - 1] == 3
 
     def test_refuses_oversized_graph(self):
         big = Graph.from_edges(18, [(i, i + 1) for i in range(1, 18)])
         with pytest.raises(WorkBoundExceeded):
             theta_vector(big, work_bound=16)
-        assert theta_vector(big, work_bound=17).values[-1] == 18
+        assert theta_vector(big, work_bound=17)[-1] == 18
 
 
 def reference_theta(g: Graph, mode: str) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ def theta_in_child(n: int, edges: list, mode: str) -> tuple[int, ...]:
     size = n if mode == "node" else len(edges)
     code = (
         "from jamgame.analysis import theta_vector; from jamgame.network import Graph; "
-        f"print(list(theta_vector(Graph.from_edges({n}, {edges!r}), {mode!r}, work_bound={size}).values))"
+        f"print(list(theta_vector(Graph.from_edges({n}, {edges!r}), {mode!r}, work_bound={size})))"
     )
     src = str(Path(analysis.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -128,7 +128,7 @@ class TestThetaKernel:
     @pytest.mark.parametrize("mode", ["edge", "node"])
     def test_matches_reference_enumeration(self, seed, mode):
         for g in random_graphs(seed):
-            assert theta_vector(g, mode).values == reference_theta(g, mode), g
+            assert theta_vector(g, mode) == reference_theta(g, mode), g
 
     def test_complete_graph_in_edge_mode_matches_closed_form(self):
         # k groups of K_n cost at least (k-1)*n - k(k-1)/2 removed edges: cut k-1 vertices off alone
@@ -193,42 +193,42 @@ def report(att=("1.5", "1.5", 1, 2), horizons=(2, 2), periods=(2, 2), util=UTIL,
 class TestCheckConditions:
     def test_normal_rate_covers_connectivity(self):
         r = report()
-        assert r.edge_conn == 1
-        assert r.ratio_normal == Fraction(3, 2)
-        assert r.necessary_normal is True
+        assert r["edge_conn"] == 1
+        assert r["ratio_normal"] == Fraction(3, 2)
+        assert r["necessary_normal"] is True
 
     def test_strong_rate_falls_short(self):
         r = report()
-        assert r.ratio_strong == Fraction(3, 4)
-        assert r.necessary_strong is False
+        assert r["ratio_strong"] == Fraction(3, 4)
+        assert r["necessary_strong"] is False
 
     def test_nested_cadence_triggers_case_a(self):
-        assert report(horizons=(2, 2), periods=(2, 2)).case_a is True
-        assert report(horizons=(3, 2), periods=(1, 2)).case_a is False
+        assert report(horizons=(2, 2), periods=(2, 2))["case_a"] is True
+        assert report(horizons=(3, 2), periods=(1, 2))["case_a"] is False
 
     def test_per_step_defender_triggers_case_b(self):
-        assert report(periods=(2, 1), horizons=(2, 2)).case_b is True
+        assert report(periods=(2, 1), horizons=(2, 2))["case_b"] is True
 
     def test_grouping_weight_disables_both_cases(self):
         r = report(util=UtilityWeights(a=1, b=1))
-        assert not r.case_a and not r.case_b and not r.tighter_applicable
+        assert not r["case_a"] and not r["case_b"] and not r["tighter_applicable"]
 
     def test_full_split_boundary_is_inclusive(self):
         r = report(att=(4, 4, 1, 2))
-        assert r.ratio_strong == 2 == len(PATH3.edges)
-        assert r.sufficient_full_split is True
+        assert r["ratio_strong"] == 2 == len(PATH3.edges)
+        assert r["sufficient_full_split"] is True
 
     def test_full_split_implies_strong_necessity(self):
         for att in (("1.5", "1.5", 1, 2), (4, 4, 1, 2), (8, 8, 1, 2)):
             r = report(att=att)
-            if r.sufficient_full_split and r.edge_conn <= len(PATH3.edges):
-                assert r.necessary_strong
+            if r["sufficient_full_split"] and r["edge_conn"] <= len(PATH3.edges):
+                assert r["necessary_strong"]
 
     def test_node_thresholds_compare_against_one(self):
         r = report()
-        assert r.necessary_normal_node is True
-        assert r.necessary_strong_node is False
-        assert report(att=(2, 2, 1, 2)).necessary_strong_node is True
+        assert r["necessary_normal_node"] is True
+        assert r["necessary_strong_node"] is False
+        assert report(att=(2, 2, 1, 2))["necessary_strong_node"] is True
 
 
 class TestClusterUpperBound:
@@ -260,7 +260,7 @@ class TestConsensusVerdict:
         s = scenario(att=("0.25", "0.25", 100, 200), K=80)
         v = consensus_verdict(run(s))
         assert v.verdict == "consensus"
-        assert v.clusters.group_count == 1
+        assert len(v.clusters) == 1
         assert v.union_connected is True
 
     def test_overwhelming_attacker_splits_everyone(self):
@@ -268,7 +268,7 @@ class TestConsensusVerdict:
         trace = run(s)
         v = consensus_verdict(trace)
         assert v.verdict == "clusters"
-        assert v.clusters.group_count == 3
+        assert len(v.clusters) == 3
         assert v.union_connected is False
 
     def test_truncated_run_is_undecided(self):
@@ -295,7 +295,7 @@ class TestConsensusVerdict:
             if v.verdict == "undecided":
                 continue
             limit = cluster_upper_bound(s.game)
-            assert v.clusters.group_count <= limit
+            assert len(v.clusters) <= limit
 
 
 def make_ctx(mover, h=(1, 1), T=(1, 1), g=PATH3, x=(1, 2, 3), att=("1.5", "1.5", 1, 2),

@@ -115,6 +115,12 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 3
         assert "work bound" in capsys.readouterr().err
 
+    def test_theta_gate_refuses_before_the_conditions(self, monkeypatch, capsys):
+        # check_conditions runs edge_connectivity, one max-flow per vertex.
+        monkeypatch.setattr("jamgame.cli.check_conditions", lambda game: pytest.fail("conditions checked"))
+        assert main(["analyze", "theta_example", "--work-bound", "1"]) == 3
+        assert "work bound exceeded: edge enumeration needs 2^4 subsets" in capsys.readouterr().err
+
 
 class TestRun:
     def test_artifacts_and_reparse(self, scenario_file, tmp_path, capsys):
@@ -385,6 +391,34 @@ def test_run_file_item_list_is_read_only_as_written(column, text, tmp_path, caps
     _set_run_cell(tmp_path, "trace.csv", column, text)
     with pytest.raises(ValueError, match="is not written as"):
         read_run(tmp_path, bundled_scenario("case1"))
+
+
+NODE_ATTACK_STEP = json.dumps([{"strong": "", "normal": "", "strong_nodes": "", "normal_nodes": "2"}])
+
+
+@pytest.mark.parametrize(
+    ("mode", "name", "column", "text"),
+    [
+        ("node", "trace.csv", "normal", ""),
+        ("node", "trace.csv", "normal", "1-2"),
+        ("node", "plans.csv", "steps", NODE_ATTACK_STEP),
+        ("edge", "trace.csv", "strong_nodes", "2"),
+    ],
+    ids=["node-trace-no-edges", "node-trace-too-few-edges", "node-plan-no-edges", "edge-trace-with-nodes"],
+)
+def test_run_file_attack_whose_edges_and_nodes_disagree_is_refused(mode, name, column, text, tmp_path, capsys):
+    # case1 in node mode attacks node 2 normally at k = 0: edges 1-2;2-3.
+    data = scenario_to_dict(bundled_scenario("case1"))
+    data.update(K=3, cost_model={"mode": mode, "waste": "charged"})
+    scenario = scenario_from_dict(data)
+    path = tmp_path / "case1.json"
+    path.write_text(json.dumps(data))
+    outdir = tmp_path / "out"
+    assert main(["run", str(path), "--output", str(outdir)]) == 0
+    read_run(outdir, scenario)  # the files as written agree
+    _set_run_cell(outdir, name, column, text)
+    with pytest.raises(ValueError, match=f"{mode}-mode attack .* has edges and nodes that disagree"):
+        read_run(outdir, scenario)
 
 
 @pytest.mark.parametrize("graph", ["star", "path"])

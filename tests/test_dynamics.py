@@ -177,18 +177,18 @@ class TestStateDifference:
 
 class TestDetectClusters:
     def test_single_cluster_exact(self):
-        assert [sorted(c) for c in detect_clusters(make_state([5, 5, 5]), 0).groups] == [[1, 2, 3]]
+        assert [sorted(c) for c in detect_clusters(make_state([5, 5, 5]), 0)] == [[1, 2, 3]]
 
     def test_tolerance_groups_near_states(self):
         x = make_state([0.0, 0.001, 7.0])
-        assert [sorted(c) for c in detect_clusters(x, 0.01).groups] == [[1, 2], [3]]
+        assert [sorted(c) for c in detect_clusters(x, 0.01)] == [[1, 2], [3]]
 
     def test_all_distinct_with_zero_tolerance(self):
-        assert detect_clusters(make_state([0, 1, 2]), 0).group_count == 3
+        assert len(detect_clusters(make_state([0, 1, 2]), 0)) == 3
 
     def test_groups_ordered_by_smallest_member(self):
         x = make_state([9, 1, 9, 1])
-        assert [sorted(c) for c in detect_clusters(x, 0).groups] == [[1, 3], [2, 4]]
+        assert [sorted(c) for c in detect_clusters(x, 0)] == [[1, 3], [2, 4]]
 
     @settings(max_examples=100)
     @given(st.permutations([0, 1, 2, 3]), state_strategy)
@@ -200,5 +200,5 @@ class TestDetectClusters:
         permuted = tuple(x[perm[i]] for i in range(4))
         image = detect_clusters(permuted, tol)
         # agent i in permuted state carries the value of agent perm[i]+1 in x.
-        relabeled = {frozenset(perm[i - 1] + 1 for i in grp) for grp in image.groups}
-        assert relabeled == set(base.groups)
+        relabeled = {frozenset(perm[i - 1] + 1 for i in grp) for grp in image}
+        assert relabeled == set(base)

@@ -2,12 +2,13 @@
 serialized scenarios.
 
 The digests were recorded from `jamgame run <name> --json`, from the text
-stdout of `jamgame run <name>`, from the stdout of
+stdout of `jamgame run <name>` and `jamgame analyze <name>`, from the stdout of
 `jamgame analyze <name> --json` and `jamgame validate <name> --json`, plus one
-long run of a case1 variant, case2 under the three non-default cost models and
-fig1_schedule in node mode. Any change to the solver, the simulation, the
-static analysis or the serializers that moves a single byte of these outputs
-fails here; a deliberate change of output must re-record them.
+long run of a case1 variant, case2 under the three non-default cost models,
+fig1_schedule in node mode and both analyze reports of theta_example in node
+mode. Any change to the solver, the simulation, the static analysis or the
+serializers that moves a single byte of these outputs fails here; a deliberate
+change of output must re-record them.
 """
 
 import contextlib
@@ -188,6 +189,44 @@ def test_bundled_analyze_report_is_byte_identical(name):
     with contextlib.redirect_stdout(out):
         assert main(["analyze", name, "--json"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_GOLDEN[name]
+
+
+# `jamgame analyze <name>` text stdout.
+ANALYZE_TEXT_GOLDEN = {
+    "case1": "71ea49eeabb1661f3922ca62362311ef1fa2431e6fcbd91ec8a0ffb7533df336",
+    "case2": "bf3ec49993f69be82e5583a1e3325b01c65dcf515d940ec200154a2f4a7b0ebe",
+    "fig1_schedule": "7045ea37a212855ec5430e50ffd4d6ac40d4a69bbba9d45c49ac2593032fa44b",
+    "prop3_regime": "8d3f08f10865c00d82c931abe76a346c2b632fa6a3935053486a52ad321a7d87",
+    "theta_example": "3476bc4e9425172de10dba19c13af36ec47028911913b0c716fcd82d89cb3118",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TEXT_GOLDEN))
+def test_bundled_analyze_text_report_is_byte_identical(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", name]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_TEXT_GOLDEN[name]
+
+
+# theta_example in node mode: node-removal theta, the only analyze report
+# whose last theta entry is 0.
+THETA_NODE_ANALYZE_GOLDEN = {
+    "text": "f964c6f40727e8577ed9bace09c1c35ecfea7d67dfb3612cdb2f7bdc09769235",
+    "json": "bef3114121ceebecde43454e85161ea51c5a87f0bc2c83545e2dbd375954085a",
+}
+
+
+@pytest.mark.parametrize("form", sorted(THETA_NODE_ANALYZE_GOLDEN))
+def test_theta_example_analyze_report_in_node_mode_is_byte_identical(form, tmp_path):
+    data = scenario_to_dict(bundled_scenario("theta_example"))
+    data.update(name="theta_example_node", cost_model={"mode": "node", "waste": "charged"})
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path)] + (["--json"] if form == "json" else [])) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == THETA_NODE_ANALYZE_GOLDEN[form]
 
 
 # `validate --json` prints the same bytes `run` writes to scenario.json.

@@ -63,16 +63,16 @@ class TestGraphConstruction:
 
 class TestComponents:
     def test_connected_path_is_one_group(self):
-        assert [sorted(c) for c in components(PATH3).groups] == [[1, 2, 3]]
+        assert [sorted(c) for c in components(PATH3)] == [[1, 2, 3]]
 
     def test_two_components_by_hand(self):
         g = Graph.from_edges(4, [(1, 2), (2, 4)])
-        assert [sorted(c) for c in components(g).groups] == [[1, 2, 4], [3]]
+        assert [sorted(c) for c in components(g)] == [[1, 2, 4], [3]]
 
     def test_detaching_a_vertex_from_diamond(self):
         # Removing both edges at vertex 3 leaves it isolated.
         g = Graph(DIAMOND4.n, DIAMOND4.edges - {(2, 3), (3, 4)})
-        assert [sorted(c) for c in components(g).groups] == [[1, 2, 4], [3]]
+        assert [sorted(c) for c in components(g)] == [[1, 2, 4], [3]]
 
     def test_group_count_values(self):
         assert group_count(PATH3) == 1
@@ -103,7 +103,7 @@ class TestAgentGroupIndex:
     @given(random_graph_strategy())
     def test_matches_component_formula(self, g):
         parts = components(g)
-        assert agent_group_index(g) == sum(len(p) ** 2 for p in parts.groups) - g.n**2
+        assert agent_group_index(g) == sum(len(p) ** 2 for p in parts) - g.n**2
 
     @settings(max_examples=100)
     @given(random_graph_strategy())
