@@ -305,12 +305,11 @@ def consensus_verdict(trace: Trace) -> ConsensusVerdict:
     if len(steps) < window:
         union_connected = None
     else:
-        union_connected = True
-        for start in range(len(steps) - window + 1):
-            edges = frozenset().union(*(st.resolved_edges for st in steps[start : start + window]))
-            if not is_connected(Graph(s.game.graph.n, edges)):
-                union_connected = False
-                break
+        unions = {
+            frozenset().union(*(st.resolved_edges for st in steps[start : start + window]))
+            for start in range(len(steps) - window + 1)
+        }
+        union_connected = all(is_connected(Graph(s.game.graph.n, edges)) for edges in unions)
     return ConsensusVerdict(verdict=verdict, clusters=clusters, union_connected=union_connected)
 
 

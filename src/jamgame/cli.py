@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -122,28 +123,61 @@ def summary_text(summary: dict) -> str:
 # --- exact-text serialization ----------------------------------------------------
 
 
-def _edges_str(edges) -> str:
+def _csv_cell(text: str) -> str:
+    """`text` as a CSV cell: quoted, with its quotes doubled, if it holds a comma, a double quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_record(cells) -> str:
+    """A row as the bytes csv.writer's default dialect writes it, for rows of two or more cells.
+
+    `None` is an empty cell and any other value its `str`, written as
+    `_csv_cell` gives it; cells are joined by commas and the record ends in
+    CRLF. (csv writes a row of one empty cell as `""`, a row no writer here makes.)
+    """
+    texts = ["" if c is None else str(c) for c in cells]
+    line = ",".join(texts)
+    # no cell needs quotes unless the joined line holds a quote, CR, LF or more commas than separators
+    if line.count(",") >= len(texts) or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join([_csv_cell(t) for t in texts])
+    return line + "\r\n"
+
+
+def _write_csv(path: Path, rows, preamble: str = "") -> None:
+    """The file `preamble` and then one `_csv_record` per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(preamble + "".join(map(_csv_record, rows)))
+
+
+@functools.cache
+def _edges_str(edges: frozenset[Edge]) -> str:
     return ";".join(edge_key(e) for e in sorted(edges))
 
 
-def _nodes_str(nodes) -> str:
+@functools.cache
+def _nodes_str(nodes: frozenset[int]) -> str:
     return ";".join(str(v) for v in sorted(nodes))
 
 
-def _read_items(text: str, read_item, write) -> frozenset:
-    """A ';'-separated cell, accepted only if `write` gives back the same text: sorted, no repeats, no other spelling."""
+def _read_items(text: str, read_item, write, allowed) -> frozenset:
+    """A ';'-separated cell of items in `allowed`, read only if `write` gives it back: sorted, no repeats, one spelling."""
     items = frozenset(map(read_item, text.split(";"))) if text else frozenset()
     if write(items) != text:
         raise ValueError(f"item list {text!r} is not written as {write(items)!r}")
+    stray = frozenset(item for item in items if item not in allowed)
+    if stray:
+        raise ValueError(f"item list {text!r} names {write(stray)!r}, outside the scenario's graph")
     return items
 
 
-def _edges_parse(text: str) -> frozenset[Edge]:
-    return _read_items(text, lambda key: parse_edge_key(key, "edges"), _edges_str)
+def _edges_parse(text: str, g: Graph) -> frozenset[Edge]:
+    return _read_items(text, lambda key: parse_edge_key(key, "edges"), _edges_str, g.edges)
 
 
-def _nodes_parse(text: str) -> frozenset[int]:
-    return _read_items(text, int, _nodes_str)
+def _nodes_parse(text: str, g: Graph) -> frozenset[int]:
+    return _read_items(text, int, _nodes_str, range(1, g.n + 1))
 
 
 def _attack_json(a: AttackAction) -> dict:
@@ -158,10 +192,10 @@ def _attack_json(a: AttackAction) -> dict:
 def _attack_from(d: dict, g: Graph, mode: str) -> AttackAction:
     """An attack's cells, refused unless its edges are its nodes' edges (node mode) or it names no nodes (edge mode)."""
     a = AttackAction(
-        _edges_parse(d["strong"]),
-        _edges_parse(d["normal"]),
-        strong_nodes=_nodes_parse(d["strong_nodes"]),
-        normal_nodes=_nodes_parse(d["normal_nodes"]),
+        _edges_parse(d["strong"], g),
+        _edges_parse(d["normal"], g),
+        strong_nodes=_nodes_parse(d["strong_nodes"], g),
+        normal_nodes=_nodes_parse(d["normal_nodes"], g),
     )
     if mode == NODE_ATTACK:
         strong = g.incident_edges(a.strong_nodes)
@@ -184,41 +218,44 @@ TRACE_COLUMNS = [
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """Exact trace table; states and energies are fraction strings."""
     n = trace.scenario.game.graph.n
-    columns = TRACE_COLUMNS + [f"x{i}" for i in range(1, n + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# trace_version {TRACE_VERSION}\n")
-        fh.write(f"# converged_at {trace.converged_at if trace.converged_at is not None else 'none'}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for st in trace.steps:
-            writer.writerow(
-                [
-                    st.k,
-                    *_attack_json(st.attack).values(),
-                    _edges_str(st.defense_planned.recover),
-                    _edges_str(st.defense_effective),
-                    _edges_str(st.resolved_edges),
-                    st.attacker_spent,
-                    st.attacker_wasted,
-                    st.defender_spent,
-                    st.defender_wasted,
-                    st.payoff,
-                ]
-                + [str(x) for x in st.state]
-            )
+    rows = [TRACE_COLUMNS + [f"x{i}" for i in range(1, n + 1)]]
+    rows += [
+        [
+            st.k,
+            *_attack_json(st.attack).values(),
+            _edges_str(st.defense_planned.recover),
+            _edges_str(st.defense_effective),
+            _edges_str(st.resolved_edges),
+            st.attacker_spent,
+            st.attacker_wasted,
+            st.defender_spent,
+            st.defender_wasted,
+            st.payoff,
+            *st.state,
+        ]
+        for st in trace.steps
+    ]
+    converged = "none" if trace.converged_at is None else trace.converged_at
+    _write_csv(path, rows, f"# trace_version {TRACE_VERSION}\n# converged_at {converged}\n")
+
+
+@functools.cache
+def _plan_step_json(action: AttackAction | DefenseAction) -> str:
+    """One plan step's JSON object as json.dumps writes it."""
+    if isinstance(action, AttackAction):
+        return json.dumps(_attack_json(action))
+    return json.dumps({"recover": _edges_str(action.recover)})
 
 
 @unlimited_digits()
 def write_plans_csv(trace: Trace, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["owner", "decision_index", "start_time", "utility", "steps"])
-        for p in trace.plans:
-            if p.owner == ATTACKER:
-                steps = [_attack_json(a) for a in p.steps]
-            else:
-                steps = [{"recover": _edges_str(d.recover)} for d in p.steps]
-            writer.writerow([p.owner, p.decision_index, p.start_time, p.utility, json.dumps(steps)])
+    rows = [["owner", "decision_index", "start_time", "utility", "steps"]]
+    rows += [
+        # json.dumps of the plan's list of steps
+        [p.owner, p.decision_index, p.start_time, p.utility, "[" + ", ".join(map(_plan_step_json, p.steps)) + "]"]
+        for p in trace.plans
+    ]
+    _write_csv(path, rows)
 
 
 @unlimited_digits()
@@ -235,9 +272,9 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
             TraceStep(
                 k=int(row["k"]),
                 attack=_attack_from(row, g, mode),
-                defense_planned=DefenseAction(_edges_parse(row["recover_planned"])),
-                defense_effective=_edges_parse(row["recover_effective"]),
-                resolved_edges=_edges_parse(row["resolved"]),
+                defense_planned=DefenseAction(_edges_parse(row["recover_planned"], g)),
+                defense_effective=_edges_parse(row["recover_effective"], g),
+                resolved_edges=_edges_parse(row["resolved"], g),
                 state=make_state([row[f"x{i}"] for i in range(1, g.n + 1)]),
                 attacker_spent=as_fraction(row["attacker_spent"]),
                 attacker_wasted=as_fraction(row["attacker_wasted"]),
@@ -254,7 +291,7 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
             if row["owner"] == ATTACKER:
                 plan_steps = tuple(_attack_from(d, g, mode) for d in raw)
             else:
-                plan_steps = tuple(DefenseAction(_edges_parse(d["recover"])) for d in raw)
+                plan_steps = tuple(DefenseAction(_edges_parse(d["recover"], g)) for d in raw)
             plans.append(
                 Plan(
                     owner=row["owner"],
@@ -279,29 +316,26 @@ def write_plot_csvs(trace: Trace, outdir: Path) -> None:
     """Float tables for plotting: states over time and energy ledgers over time."""
     game = trace.scenario.game
     n = game.graph.n
-    with open(outdir / "plot_states.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"x{i}" for i in range(1, n + 1)])
-        for k, state in enumerate(trace.states()):
-            writer.writerow([k] + [_plot_float(x) for x in state])
-    with open(outdir / "plot_energy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "attacker_budget", "attacker_spent", "attacker_wasted",
-             "defender_budget", "defender_spent", "defender_wasted"]
-        )
-        for st in trace.steps:
-            writer.writerow(
-                [
-                    st.k,
-                    _plot_float(budget_at(game.attacker_energy, st.k)),
-                    _plot_float(st.attacker_spent),
-                    _plot_float(st.attacker_wasted),
-                    _plot_float(budget_at(game.defender_energy, st.k)),
-                    _plot_float(st.defender_spent),
-                    _plot_float(st.defender_wasted),
-                ]
-            )
+    states = [["k"] + [f"x{i}" for i in range(1, n + 1)]]
+    states += [[k] + [_plot_float(x) for x in state] for k, state in enumerate(trace.states())]
+    _write_csv(outdir / "plot_states.csv", states)
+    energy = [
+        ["k", "attacker_budget", "attacker_spent", "attacker_wasted",
+         "defender_budget", "defender_spent", "defender_wasted"]
+    ]
+    energy += [
+        [
+            st.k,
+            _plot_float(budget_at(game.attacker_energy, st.k)),
+            _plot_float(st.attacker_spent),
+            _plot_float(st.attacker_wasted),
+            _plot_float(budget_at(game.defender_energy, st.k)),
+            _plot_float(st.defender_spent),
+            _plot_float(st.defender_wasted),
+        ]
+        for st in trace.steps
+    ]
+    _write_csv(outdir / "plot_energy.csv", energy)
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -458,10 +492,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     table = outdir / "sweep.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(table, [SWEEP_COLUMNS] + [[row[c] for c in SWEEP_COLUMNS] for row in rows])
     done = sum(1 for r in rows if r["status"] == "ok")
     print(f"swept {len(rows)} points ({done} ok) -> {table}")
     return EXIT_OK

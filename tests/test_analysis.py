@@ -23,9 +23,19 @@ from jamgame.analysis import (
 from jamgame.cli import main
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
-from jamgame.game import ATTACKER, DEFENDER, Game, Schedule, SolveContext, UtilityWeights, solve_decision
+from jamgame.game import (
+    ATTACKER,
+    DEFENDER,
+    AttackAction,
+    DefenseAction,
+    Game,
+    Schedule,
+    SolveContext,
+    UtilityWeights,
+    solve_decision,
+)
 from jamgame.network import Graph, group_count
-from jamgame.rolling import run
+from jamgame.rolling import Trace, TraceStep, run
 from jamgame.scenario import Scenario, bundled_scenario
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -283,6 +293,32 @@ class TestConsensusVerdict:
             v = consensus_verdict(trace)
             if v.verdict != "undecided" and v.union_connected:
                 assert v.verdict == "consensus"
+
+    @staticmethod
+    def settled_trace(g, resolved):
+        """A trace settled at k = 0 in consensus whose steps resolve to `resolved`, one edge set a step."""
+        s = scenario(att=("1.5", "1.5", 1, 2), g=g, x=(0,) * g.n, K=len(resolved))
+        zero = Fraction(0)
+        steps = tuple(
+            TraceStep(k, AttackAction.empty(), DefenseAction.empty(), frozenset(), frozenset(edges),
+                      s.initial_state, zero, zero, zero, zero, zero)
+            for k, edges in enumerate(resolved)
+        )
+        return Trace(s, steps, (), converged_at=0)
+
+    def test_only_the_last_window_union_is_disconnected(self):
+        # windows of 4 steps (T = 1): every union is both path edges but the last, which is 1-2 alone
+        a, b = [(1, 2)], [(2, 3)]
+        v = consensus_verdict(self.settled_trace(PATH3, [a, b, a, b, b, a, a, a, a]))
+        assert v.verdict == "consensus"
+        assert v.union_connected is False
+
+    def test_window_unions_that_differ_but_all_connect(self):
+        # the unions are the cycle less 1-4, the whole cycle and the cycle less 1-2, each connected
+        p1, p2 = [(1, 2), (2, 3), (3, 4)], [(2, 3), (3, 4), (1, 4)]
+        v = consensus_verdict(self.settled_trace(CYCLE4, [p1] * 4 + [p2] * 4))
+        assert v.verdict == "consensus"
+        assert v.union_connected is True
 
     def test_settled_traces_respect_cluster_bound(self):
         for att, h, T in (

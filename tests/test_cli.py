@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jamgame
-from jamgame.cli import main, read_run, summarize, write_plans_csv, write_trace_csv
+from jamgame.cli import _csv_record, main, read_run, summarize, write_plans_csv, write_trace_csv
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
 from jamgame.game import ATTACKER, AttackAction, Game, Plan, Schedule, UtilityWeights
@@ -359,6 +362,28 @@ def test_huge_decimal_exponent_in_a_grid_exits_2(scenario_file, tmp_path):
     assert "decimal exponent of magnitude above 100000" in done.stderr
 
 
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf]),
+    st.fractions().map(str),
+    st.text(st.sampled_from(',"\r\n ;-a1')),
+    st.text(),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(CSV_CELLS, min_size=2, max_size=6))
+@example(["", ""])
+@example([None, 'say "hi",\r\nbye'])
+def test_csv_record_writes_what_csv_writer_writes(row):
+    # every row the CLI writes has two or more cells; csv writes a lone empty cell as '""'
+    out = io.StringIO()
+    csv.writer(out).writerow(row)
+    assert _csv_record(row) == out.getvalue()
+
+
 def _set_run_cell(outdir, name, column, value):
     """Rewrite the first data row's `column` of the run file `name` in place."""
     path = outdir / name
@@ -393,6 +418,17 @@ def test_run_file_item_list_is_read_only_as_written(column, text, tmp_path, caps
         read_run(tmp_path, bundled_scenario("case1"))
 
 
+def _short_case1_run(tmp_path, mode):
+    """The output directory and scenario of a 3-step case1 run under `mode` attacks with charged waste."""
+    data = scenario_to_dict(bundled_scenario("case1"))
+    data.update(K=3, cost_model={"mode": mode, "waste": "charged"})
+    path = tmp_path / "case1.json"
+    path.write_text(json.dumps(data))
+    outdir = tmp_path / "out"
+    assert main(["run", str(path), "--output", str(outdir)]) == 0
+    return outdir, scenario_from_dict(data)
+
+
 NODE_ATTACK_STEP = json.dumps([{"strong": "", "normal": "", "strong_nodes": "", "normal_nodes": "2"}])
 
 
@@ -408,16 +444,31 @@ NODE_ATTACK_STEP = json.dumps([{"strong": "", "normal": "", "strong_nodes": "", 
 )
 def test_run_file_attack_whose_edges_and_nodes_disagree_is_refused(mode, name, column, text, tmp_path, capsys):
     # case1 in node mode attacks node 2 normally at k = 0: edges 1-2;2-3.
-    data = scenario_to_dict(bundled_scenario("case1"))
-    data.update(K=3, cost_model={"mode": mode, "waste": "charged"})
-    scenario = scenario_from_dict(data)
-    path = tmp_path / "case1.json"
-    path.write_text(json.dumps(data))
-    outdir = tmp_path / "out"
-    assert main(["run", str(path), "--output", str(outdir)]) == 0
+    outdir, scenario = _short_case1_run(tmp_path, mode)
     read_run(outdir, scenario)  # the files as written agree
     _set_run_cell(outdir, name, column, text)
     with pytest.raises(ValueError, match=f"{mode}-mode attack .* has edges and nodes that disagree"):
+        read_run(outdir, scenario)
+
+
+OFF_GRAPH_ATTACK_STEP = json.dumps([{"strong": "1-3", "normal": "", "strong_nodes": "", "normal_nodes": ""}])
+
+
+@pytest.mark.parametrize(
+    ("mode", "name", "column", "text"),
+    [
+        ("edge", "trace.csv", "strong", "7-9"),
+        ("edge", "trace.csv", "recover_planned", "8-9"),
+        ("edge", "plans.csv", "steps", OFF_GRAPH_ATTACK_STEP),
+        ("node", "trace.csv", "normal_nodes", "2;4"),
+    ],
+    ids=["trace-attack-edge", "trace-recovery-edge", "plan-attack-edge", "trace-node"],
+)
+def test_run_file_item_outside_the_graph_is_refused(mode, name, column, text, tmp_path, capsys):
+    # case1 is the 3-agent path 1-2-3; in node mode it attacks node 2 normally at k = 0, and node 4 has no edges
+    outdir, scenario = _short_case1_run(tmp_path, mode)
+    _set_run_cell(outdir, name, column, text)
+    with pytest.raises(ValueError, match="outside the scenario's graph"):
         read_run(outdir, scenario)
 
 

@@ -26,26 +26,36 @@ GOLDEN = {
         "trace.csv": "3957888815dd3c70f0f60762a658fae6f9e7973ecdb689a4c8245e9af9b7c248",
         "plans.csv": "15ff75e2f96d9aeafcac6a26a2a8285cfb30e2d6b2535d3385a94c94fee135d6",
         "summary.json": "958fdc0c131c4202089f08ccc14d3a44f35567d36be6421d356f85c1c9513b62",
+        "plot_states.csv": "04bedebd21807200d53f4a0371c2cebb512129c9a4afadaaea00a0bbc3cc4bd0",
+        "plot_energy.csv": "435bfb6376ed01a007e964f6d0b29c390d97b9b99d74556a0f4b9d9ad6352690",
     },
     "case2": {
         "trace.csv": "4c62381587135a68728e534b4cd816152035314d0c14224a1cc2003277fb7f22",
         "plans.csv": "1e1f0c60f3b4965b06ae6ce07fbd5d0f4630324de50b5f2b3a8b5ed02be83488",
         "summary.json": "1cb669d3e7b10082912713ca4897ce3a7daf9ec528a541be24b96d8b1ebe754d",
+        "plot_states.csv": "9c1b105cce5e03b56588eb01eb8fac928a02a8f45a6e3176f2ba69f74447f38d",
+        "plot_energy.csv": "c51e7fa5b79e831de0b5e30a60c448974e2c497414da2229b5117586f0d6799c",
     },
     "fig1_schedule": {
         "trace.csv": "898762171306edf5c99866d6f0ac2e7d2b7942ba277be645c896f1492f723807",
         "plans.csv": "fa992aa386a1ab1b73732bc173fdb4b54a42cdab1c87647867aab5ae4017d482",
         "summary.json": "3f4be30f213c5113bd5a055f158b796162bde33b5466144305903cdafddd158e",
+        "plot_states.csv": "7a8085000b390e1cd3672449eb63528941b54a40a7e73598663b431ce0732adb",
+        "plot_energy.csv": "3c9a4ec0f496ad183d6f9a8ccd8cb966235662445b70e9c1c662854231934b3f",
     },
     "prop3_regime": {
         "trace.csv": "e9f961498357dd6e2ef3647cfd73c5a46984486191b591079dc7c3c08167f5e8",
         "plans.csv": "8dce4fb44a684241399693e9c818fbdbda1f420beb0a287bebc170ace1d20d09",
         "summary.json": "5336457aba2049410cd4fd4ddd49f20b1c7486b2e0abb122c1c261ee42245530",
+        "plot_states.csv": "a7ddf8c49076a6c6c2355d7bbf76c1517bc12a40fdf762175ad80536d76acfae",
+        "plot_energy.csv": "3cb4c515f3aaaef7043e9d30f2e76bff6d7c28787733d6df79b7abf65a137c93",
     },
     "theta_example": {
         "trace.csv": "e54c04c6f917ad2629f0e5c00f033eb7e22ad91d123618bb97d1a66ab2d87c19",
         "plans.csv": "efedb7f0521e5882227476988add23eeb3d4dd9775703bb3ace4216a0fd1b70f",
         "summary.json": "0199a6cd25ccbaa0a56b6805a541cb0799a22cf08df1049122784359d91a0786",
+        "plot_states.csv": "eb5031f84d2cfb6ea512d81b3504356d52c15f6e07e8c0e46b8d7ca12fc8198f",
+        "plot_energy.csv": "209362d8fb6cbf3e6716ba0b717ddfe64fb42d1c0b1f321be58b219eed9c6398",
     },
 }
 
@@ -82,6 +92,8 @@ LONG_RUN_GOLDEN = {
     "trace.csv": "2eb312d0f0ce22d7062941aa2346f991754f2527e05ff8026f37de0572736d9c",
     "plans.csv": "3896a4bde37994059861983665d8e3380d727cde8eb356778172b389e98037e2",
     "summary.json": "c8762b83ec8406f7ef689bcfe07353e4ab0136a715cf73f8c420ba686adb7464",
+    "plot_states.csv": "133b193fe3d62ab315a097d6199f63a0ea8540a0a5308ee868cba63ccd281ffb",
+    "plot_energy.csv": "694556f11f8d905c1a5a25d2a2c64700ef944446a8afadeab3adb004fe2c9c93",
 }
 
 

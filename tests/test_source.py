@@ -43,6 +43,29 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return [f"{module}:{name}" for module, name in defined if name not in read]
 
 
+def csv_writer_calls(source: str) -> list[str]:
+    """Calls of `csv.writer` or `csv.DictWriter`, by attribute or by a name imported from csv, as "line:name"."""
+    tree = ast.parse(source)
+    names = {"writer", "DictWriter"}
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "csv"
+        for alias in node.names
+        if alias.name in names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in names and isinstance(f.value, ast.Name) and f.value.id == "csv":
+            found.append((node.lineno, f"csv.{f.attr}"))
+        elif isinstance(f, ast.Name) and f.id in imported:
+            found.append((node.lineno, f.id))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 def test_every_module_level_import_is_read():
     assert SOURCES
     assert {path.name: unused_imports(path.read_text()) for path in SOURCES} == {path.name: [] for path in SOURCES}
@@ -64,3 +87,17 @@ def test_a_stray_private_definition_is_reported():
         "b.py": "from . import a\nx = a._Kept()\n",
     }
     assert unread_private_names(sources) == ["a.py:_a", "a.py:_b", "a.py:_helper"]
+
+
+def test_no_module_writes_csv_through_the_csv_module():
+    # cli._csv_record is the one rule for a CSV record; csv stays for reading
+    assert {path.name: csv_writer_calls(path.read_text()) for path in SOURCES} == {path.name: [] for path in SOURCES}
+
+
+def test_a_stray_csv_writer_is_reported():
+    source = (
+        "import csv\nfrom csv import DictWriter as W, reader\n"
+        "def f(fh):\n    csv.writer(fh).writerow([1, 2])\n    W(fh, ['a']).writeheader()\n"
+        "    csv.DictReader(fh)\n    reader(fh)\n"
+    )
+    assert csv_writer_calls(source) == ["4:csv.writer", "5:W"]
