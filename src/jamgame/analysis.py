@@ -332,8 +332,11 @@ class _BruteForce:
 
     Every mover plan is realized step by step: a known opponent block replays
     its committed actions, and every other step re-solves by plain recursion
-    the objective of the opponent decision `Schedule.supplier` names. No value
-    is memoized and no search is shared with the backward-induction solver.
+    the objective of the opponent decision `Schedule.supplier` names, searching
+    each predicted answer once: a predicted defense returns its value, which
+    the attacker's pick reads. A leaf is a state past a searched window's end.
+    No value is memoized and no search is shared with the backward-induction
+    solver.
     """
 
     def __init__(self, ctx: SolveContext, work: _Budget):
@@ -359,43 +362,33 @@ class _BruteForce:
         x1 = consensus_step(x, resolved, self.game.weights)
         return x1, step_payoff(x1, resolved, self.game.util)
 
-    # plain-recursive predictions: attacker leads, defender follows, both modeled
+    # plain-recursive predictions: attacker leads, defender follows, both modeled;
+    # every value is attacker-side, as `step_payoff` is
 
     def _pick(self, cands, player, t, end, spent):
-        top = max(v for _, v in cands)
-        return tie_break([a for a, v in cands if v == top], self.game, player, t, end, spent)
+        """The chosen `(action, price, value)`: the attacker's largest value, the defender's smallest."""
+        best = (max if player == ATTACKER else min)(v for _, _, v in cands)
+        chosen = tie_break([a for a, _, v in cands if v == best], self.game, player, t, end, spent)
+        return next(c for c in cands if c[0] == chosen)
 
     def _predict_defense(self, t, x, sa, sd, end, attack, cost_a):
         cands = []
         for cost_d, d in self._feasible_defenses(t, sd, attack.normal):
             x1, payoff = self._step(x, attack, d)
-            tail = self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
-            cands.append(((d, cost_d), -payoff - tail))
-        d = self._pick([(dc[0], v) for dc, v in cands], DEFENDER, t, end, sd)
-        return d, next(c for (dd, c), _ in cands if dd == d)
+            cands.append((d, cost_d, payoff + self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)))
+        return self._pick(cands, DEFENDER, t, end, sd)
 
     def _predict_attack(self, t, x, sa, sd, end):
-        cands = []
-        for cost_a, a in self._feasible_attacks(t, sa):
-            d, cost_d = self._predict_defense(t, x, sa, sd, end, a, cost_a)
-            x1, payoff = self._step(x, a, d)
-            tail = self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
-            cands.append(((a, cost_a), payoff + tail))
-        a = self._pick([(ac[0], v) for ac, v in cands], ATTACKER, t, end, sa)
-        return a, next(c for (aa, c), _ in cands if aa == a)
+        cands = [(a, c, self._predict_defense(t, x, sa, sd, end, a, c)[2]) for c, a in self._feasible_attacks(t, sa)]
+        return self._pick(cands, ATTACKER, t, end, sa)
 
     def _predict_value(self, t, x, sa, sd, end) -> Fraction:
         if t > end:
             self.work.tick()
             return Fraction(0)
-        best = None
-        for cost_a, a in self._feasible_attacks(t, sa):
-            d, cost_d = self._predict_defense(t, x, sa, sd, end, a, cost_a)
-            x1, payoff = self._step(x, a, d)
-            val = payoff + self._predict_value(t + 1, x1, sa + cost_a, sd + cost_d, end)
-            if best is None or val > best:
-                best = val
-        return best
+        return max(
+            self._predict_defense(t, x, sa, sd, end, a, cost_a)[2] for cost_a, a in self._feasible_attacks(t, sa)
+        )
 
     # realized opponent action at one step of a mover trajectory
 
@@ -409,8 +402,8 @@ class _BruteForce:
             return action, action.cost(self.att_p)
         end = min(sched.window_end(opp, owner), self.w_end)
         if opp == DEFENDER:
-            return self._predict_defense(t, x, sa, sd, end, mover_action, mover_cost)
-        return self._predict_attack(t, x, sa, sd, end)
+            return self._predict_defense(t, x, sa, sd, end, mover_action, mover_cost)[:2]
+        return self._predict_attack(t, x, sa, sd, end)[:2]
 
     # exhaustive mover plans
 
@@ -467,5 +460,5 @@ class _BruteForce:
 
 
 def brute_force_equilibrium(ctx: SolveContext, work_bound: int = 1_000_000) -> Plan:
-    """Reference solution by whole-plan enumeration; see _BruteForce."""
+    """Reference solution by whole-plan enumeration, refused past `work_bound` leaves; see _BruteForce."""
     return _BruteForce(ctx, _Budget(work_bound)).solve()

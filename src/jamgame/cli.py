@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .dynamics import as_fraction, make_state
 from .energy import NODE_ATTACK, budget_at
-from .game import ATTACKER, AttackAction, DefenseAction, Plan
+from .game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan
 from .network import Edge, Graph
 from .rolling import Trace, TraceStep, run
 from .scenario import (
@@ -212,6 +212,7 @@ TRACE_COLUMNS = [
     "recover_planned", "recover_effective", "resolved",
     "attacker_spent", "attacker_wasted", "defender_spent", "defender_wasted", "payoff",
 ]
+PLANS_COLUMNS = ["owner", "decision_index", "start_time", "utility", "steps"]
 
 
 @unlimited_digits()
@@ -249,13 +250,25 @@ def _plan_step_json(action: AttackAction | DefenseAction) -> str:
 
 @unlimited_digits()
 def write_plans_csv(trace: Trace, path: Path) -> None:
-    rows = [["owner", "decision_index", "start_time", "utility", "steps"]]
+    rows = [PLANS_COLUMNS]
     rows += [
         # json.dumps of the plan's list of steps
         [p.owner, p.decision_index, p.start_time, p.utility, "[" + ", ".join(map(_plan_step_json, p.steps)) + "]"]
         for p in trace.plans
     ]
     _write_csv(path, rows)
+
+
+def _read_table(fh, name: str, header: list[str]):
+    """A CSV table's rows as dicts, refused unless its header is `header` and each row has one cell per column."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    if found != header:
+        raise ValueError(f"{name} header {found} is not {header}")
+    for number, row in enumerate(reader, 1):
+        if len(row) != len(header):
+            raise ValueError(f"{name} row {number} has {len(row)} cells for {len(header)} columns")
+        yield dict(zip(header, row))
 
 
 @unlimited_digits()
@@ -268,30 +281,37 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
             raise ValueError(f"unsupported trace header: {version_line!r}")
         converged_text = fh.readline().strip().removeprefix("# converged_at ")
         converged_at = None if converged_text == "none" else int(converged_text)
-        steps = tuple(
-            TraceStep(
-                k=int(row["k"]),
-                attack=_attack_from(row, g, mode),
-                defense_planned=DefenseAction(_edges_parse(row["recover_planned"], g)),
-                defense_effective=_edges_parse(row["recover_effective"], g),
-                resolved_edges=_edges_parse(row["resolved"], g),
-                state=make_state([row[f"x{i}"] for i in range(1, g.n + 1)]),
-                attacker_spent=as_fraction(row["attacker_spent"]),
-                attacker_wasted=as_fraction(row["attacker_wasted"]),
-                defender_spent=as_fraction(row["defender_spent"]),
-                defender_wasted=as_fraction(row["defender_wasted"]),
-                payoff=as_fraction(row["payoff"]),
+        steps = []
+        for k, row in enumerate(_read_table(fh, "trace.csv", TRACE_COLUMNS + [f"x{i}" for i in range(1, g.n + 1)])):
+            if int(row["k"]) != k:
+                raise ValueError(f"trace.csv step {k} is numbered {row['k']!r}")
+            steps.append(
+                TraceStep(
+                    k=k,
+                    attack=_attack_from(row, g, mode),
+                    defense_planned=DefenseAction(_edges_parse(row["recover_planned"], g)),
+                    defense_effective=_edges_parse(row["recover_effective"], g),
+                    resolved_edges=_edges_parse(row["resolved"], g),
+                    state=make_state([row[f"x{i}"] for i in range(1, g.n + 1)]),
+                    attacker_spent=as_fraction(row["attacker_spent"]),
+                    attacker_wasted=as_fraction(row["attacker_wasted"]),
+                    defender_spent=as_fraction(row["defender_spent"]),
+                    defender_wasted=as_fraction(row["defender_wasted"]),
+                    payoff=as_fraction(row["payoff"]),
+                )
             )
-            for row in csv.DictReader(fh)
-        )
+    if not steps:
+        raise ValueError("trace.csv has no steps")
     plans = []
     with open(outdir / "plans.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
+        for row in _read_table(fh, "plans.csv", PLANS_COLUMNS):
             raw = json.loads(row["steps"])
             if row["owner"] == ATTACKER:
                 plan_steps = tuple(_attack_from(d, g, mode) for d in raw)
-            else:
+            elif row["owner"] == DEFENDER:
                 plan_steps = tuple(DefenseAction(_edges_parse(d["recover"], g)) for d in raw)
+            else:
+                raise ValueError(f"plans.csv owner {row['owner']!r} is neither {ATTACKER!r} nor {DEFENDER!r}")
             plans.append(
                 Plan(
                     owner=row["owner"],
@@ -301,7 +321,7 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
                     utility=as_fraction(row["utility"]),
                 )
             )
-    return Trace(scenario=scenario, steps=steps, plans=tuple(plans), converged_at=converged_at)
+    return Trace(scenario=scenario, steps=tuple(steps), plans=tuple(plans), converged_at=converged_at)
 
 
 def _plot_float(value: Fraction) -> float:

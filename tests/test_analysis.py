@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,3 +373,18 @@ class TestBruteForce:
         ctx = make_ctx(ATTACKER, h=(2, 2), T=(2, 2))
         with pytest.raises(WorkBoundExceeded):
             brute_force_equilibrium(ctx, work_bound=10)
+
+    def test_each_predicted_answer_is_searched_once(self):
+        # case1 at h = T = 1, one defender decision at t0 = 0. The predicted
+        # attacker can afford 3 attacks (none, or normal jamming of one edge:
+        # kappa 3/2 against prices 1 and 2), and the defender only the empty
+        # recovery (kappa 1/2 against price 1), so predicting the attacker
+        # reaches 3 x 1 = 3 leaves. _extend predicts it once (3 leaves) and
+        # then reaches its 1 mover plan (1 leaf); _filter_stepwise predicts it
+        # again (3 leaves). 7 in all; searching each predicted defense's tail
+        # a second time for the attacker's value made it 13.
+        s = bundled_scenario("case1")
+        game = replace(s.game, schedule=Schedule(1, 1, 1, 1))
+        work = analysis._Budget(100)
+        analysis._BruteForce(SolveContext(game, s.initial_state, t0=0, mover=DEFENDER), work).solve()
+        assert work.used == 7

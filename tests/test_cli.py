@@ -384,16 +384,24 @@ def test_csv_record_writes_what_csv_writer_writes(row):
     assert _csv_record(row) == out.getvalue()
 
 
-def _set_run_cell(outdir, name, column, value):
-    """Rewrite the first data row's `column` of the run file `name` in place."""
+def _edit_run_rows(outdir, name, edit):
+    """Rewrite the run file `name` in place with its CSV rows, header first, replaced by `edit(rows)`."""
     path = outdir / name
     lines = path.read_text().splitlines(keepends=True)
     skip = 2 if name == "trace.csv" else 0  # the trace's version and convergence lines
-    rows = list(csv.reader(lines[skip:]))
-    rows[1][rows[0].index(column)] = value
+    rows = edit(list(csv.reader(lines[skip:])))
     with open(path, "w", newline="") as fh:
         fh.writelines(lines[:skip])
         csv.writer(fh).writerows(rows)
+
+
+def _set_run_cell(outdir, name, column, value):
+    """Rewrite the first data row's `column` of the run file `name` in place."""
+    def edit(rows):
+        rows[1][rows[0].index(column)] = value
+        return rows
+
+    _edit_run_rows(outdir, name, edit)
 
 
 @pytest.mark.parametrize(("name", "column"), [("trace.csv", "payoff"), ("plans.csv", "utility")])
@@ -469,6 +477,25 @@ def test_run_file_item_outside_the_graph_is_refused(mode, name, column, text, tm
     outdir, scenario = _short_case1_run(tmp_path, mode)
     _set_run_cell(outdir, name, column, text)
     with pytest.raises(ValueError, match="outside the scenario's graph"):
+        read_run(outdir, scenario)
+
+
+@pytest.mark.parametrize(
+    ("name", "edit", "message"),
+    [
+        ("trace.csv", lambda rows: rows[:1], "trace.csv has no steps"),
+        ("trace.csv", lambda rows: [row[:-1] for row in rows], r"trace.csv header \[.*\] is not"),
+        ("trace.csv", lambda rows: [rows[0], rows[1] + ["0"], *rows[2:]], "trace.csv row 1 has 17 cells for 16"),
+        ("trace.csv", lambda rows: [rows[0], ["7", *rows[1][1:]], *rows[2:]], "trace.csv step 0 is numbered '7'"),
+        ("plans.csv", lambda rows: [rows[0], ["recover", *rows[1][1:]], *rows[2:]], "owner 'recover' is neither"),
+    ],
+    ids=["no-steps", "no-x3-column", "extra-cell", "first-k-7", "unknown-owner"],
+)
+def test_run_file_table_of_the_wrong_shape_is_refused(name, edit, message, tmp_path, capsys):
+    # a 3-step case1 run on the 3-agent path: trace.csv has 13 named columns and x1..x3
+    outdir, scenario = _short_case1_run(tmp_path, "edge")
+    _edit_run_rows(outdir, name, edit)
+    with pytest.raises(ValueError, match=message):
         read_run(outdir, scenario)
 
 
