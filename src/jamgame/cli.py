@@ -172,6 +172,14 @@ def _read_items(text: str, read_item, write, allowed) -> frozenset:
     return items
 
 
+def _read_int(text: str, name: str) -> int:
+    """An integer cell, read only if `str` gives it back: the writer writes no plus sign, padding or underscore."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{name} {text!r} is not written as {str(value)!r}")
+    return value
+
+
 def _edges_parse(text: str, g: Graph) -> frozenset[Edge]:
     return _read_items(text, lambda key: parse_edge_key(key, "edges"), _edges_str, g.edges)
 
@@ -280,10 +288,9 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
         if version_line != f"# trace_version {TRACE_VERSION}":
             raise ValueError(f"unsupported trace header: {version_line!r}")
         converged_text = fh.readline().strip().removeprefix("# converged_at ")
-        converged_at = None if converged_text == "none" else int(converged_text)
         steps = []
         for k, row in enumerate(_read_table(fh, "trace.csv", TRACE_COLUMNS + [f"x{i}" for i in range(1, g.n + 1)])):
-            if int(row["k"]) != k:
+            if row["k"] != str(k):
                 raise ValueError(f"trace.csv step {k} is numbered {row['k']!r}")
             steps.append(
                 TraceStep(
@@ -302,6 +309,15 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
             )
     if not steps:
         raise ValueError("trace.csv has no steps")
+    # A run stops early only where it converges, so it has K steps or converged at its last.
+    last = steps[-1].k
+    if len(steps) > scenario.K:
+        raise ValueError(f"trace.csv has {len(steps)} steps, past the scenario's K = {scenario.K}")
+    if converged_text == "none" and len(steps) < scenario.K:
+        raise ValueError(f"# converged_at none, but trace.csv stops after {len(steps)} of {scenario.K} steps")
+    if converged_text not in ("none", str(last)):
+        raise ValueError(f"# converged_at {converged_text!r} is not the last step, {last}")
+    converged_at = None if converged_text == "none" else last
     plans = []
     with open(outdir / "plans.csv", newline="") as fh:
         for row in _read_table(fh, "plans.csv", PLANS_COLUMNS):
@@ -315,8 +331,8 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
             plans.append(
                 Plan(
                     owner=row["owner"],
-                    decision_index=int(row["decision_index"]),
-                    start_time=int(row["start_time"]),
+                    decision_index=_read_int(row["decision_index"], "plans.csv decision_index"),
+                    start_time=_read_int(row["start_time"], "plans.csv start_time"),
                     steps=plan_steps,
                     utility=as_fraction(row["utility"]),
                 )

@@ -493,7 +493,7 @@ class _Prices:
 
 
 class StepCache:
-    """Run-scoped memos of one game: step resolution and pricing.
+    """Run-scoped memos of one game: step resolution, pricing, and the current decision time's model nodes.
 
     Each distinct (strong, normal, recover) triple is resolved against the
     base graph once, and its resolved graph is stored with that graph's group
@@ -512,7 +512,11 @@ class StepCache:
     money scale shares its prices and option lists; an option list is keyed by
     the slack left, `budget(t) - spend`, and for defenses also by the normally
     attacked edges. `money_scale` is the lcm of the energy parameters'
-    denominators, which every M is a multiple of.
+    denominators, which every M is a multiple of. `model_memos(t0, den0, M)`
+    hands out the solver's memos of model nodes for the current decision
+    time, state denominator and money scale, so both players' decisions at
+    one time share their predicted models; a new key replaces the pair, so
+    the cache holds one decision time's model nodes at most.
     """
 
     def __init__(self, game: Game):
@@ -526,6 +530,20 @@ class StepCache:
         self._resolved: dict = {}
         self._next: dict = {}
         self.prices = cache(lambda M: _Prices(game, M))
+        self._model_key = None
+        self._model_memos: tuple[dict, dict] = ({}, {})
+
+    def model_memos(self, t0: int, den0: int, M: int) -> tuple[dict, dict]:
+        """The solver's (attacker, defender) memos of model nodes at t0, state denominator den0 and money scale M.
+
+        A model node's result depends only on the game, its key and the value
+        scale, which these three fix. Only the latest key's pair is kept: a
+        new key replaces it.
+        """
+        key = (t0, den0, M)
+        if key != self._model_key:
+            self._model_key, self._model_memos = key, ({}, {})
+        return self._model_memos
 
     def resolve(self, attack: AttackAction, defense: DefenseAction):
         """(resolved edges, their group index, their weights as numerators over D) of one step's actions."""
@@ -596,43 +614,58 @@ class _Solver:
     is the lcm of the initial state's denominators and D is the step cache's
     scale. Spends, prices and budget lines are numerators over the money scale
     M, the lcm of both players' energy-parameter and starting-spend
-    denominators. Values are numerators over the window denominator
-    Q = L*den(x0)^2*D^(2H), where L is the lcm of the utility weights'
-    denominators and H the window length. The one conversion back is
+    denominators. Values are numerators over Q = L*den(x0)^2*D^(2H), where L
+    is the lcm of the utility weights' denominators and H the longer of the
+    two players' horizons, so both players' decisions at t0 value on one
+    scale; a positive rescaling changes no choice. The one conversion back is
     `Plan.utility = _fraction(±total, Q)`, negated for a defender mover.
 
-    Only the window's two search memos belong to one decision: `_values`
+    Known steps come first in the window, and the ends of the predicted
+    models never fall along it. So from `_model_from`, the first own step
+    whose opponent is predicted over the rest of the window, the own tail is
+    exactly the predicted model `value(t, ..., w_end)`: by induction from
+    w_end down, the mover optimizes the step payoff plus a tail equal to the
+    model's, its opponent answers by that model, the sustain test runs to the
+    same end, and `_prefers` is one total order. `value` and `_defend`
+    therefore search such an own step as that model node. A `lo` handed to
+    it is dropped, since it would only keep the exact result out of the memo.
+
+    A model node (`end` set) depends only on the game, its key
+    (t, x, sa, sd, end) and the scale, so model nodes live in the step
+    cache's memos for (t0, den(x0), M) (`StepCache.model_memos`), which every
+    decision at t0 from that state on that money scale shares: `_values`
     holds (value, leading attack) per attacker node, and `_responses` holds
     (value, defense, price) per defender node, so a predicted attacker reads
-    its predicted defender's value there. A defender mover's own nodes live
-    in `_responses` alone. Prices, budget lines, the sustain test and the
-    option lists come from the step cache's pricing table for M
-    (`StepCache.prices`), so a run prices each distinct argument once, not
-    once per decision; without a cache the solver starts from a fresh one. A
-    cache built for another game is refused: its steps and prices would be
-    that game's. The solver holds no reference to itself, so it is freed as
-    soon as its decision returns.
+    its predicted defender's value there. Own nodes depend on the mover and
+    on `known`, so they live in this decision's `_own_values` and
+    `_own_responses`; a defender mover's own nodes live in `_own_responses`
+    alone. Prices, budget lines, the sustain test and the option lists come
+    from the step cache's pricing table for M (`StepCache.prices`), so a run
+    prices each distinct argument once, not once per decision; without a
+    cache the solver starts from a fresh one. A cache built for another game
+    is refused: its steps and prices would be that game's. The solver holds
+    no reference to itself, so it is freed as soon as its decision returns.
 
     Every node searches within a window [lo, hi] of values that can still
     change a choice above it; an unset side is open. A node may stop once its
     result leaves its window, and only a strict inequality stops it, because
     equal values go to `_prefers`. A result outside its window is a bound, not
-    a value: neither `_values` nor `_responses` keeps it, so `_answer` and the
-    plan walk read exact entries only. Every cut is exact:
+    a value: no memo keeps it, so `_answer` and the plan walk read exact
+    entries only. Every cut is exact:
     * Alpha-beta cutoffs over two levels (Knuth & Moore, 1975). A predicted
       `_attack` hands its best value so far to `_defend` as `lo`, and the
       defender stops at its first value below it; a predicted `_defend` hands
       its best value so far, less the step payoff, to the next step's `value`
-      as `hi`, and the attacker stops at its first value above it. The
-      mover's own window has no alpha-beta cutoffs, since its predicted
-      opponent there optimizes another objective.
-    * With `b = 0`, the attacker mover's own steps t < w_end are ranked: they
-      try attacks in falling order of their contraction bound and stop at the
-      first bound strictly below the value still needed, the best so far at t
-      or, if higher, `lo`. `Weights` keeps every row sum below 1, so no
-      consensus step raises the disagreement, and `_dis_weight` shrinks by D^2
-      a step as the numerators' scale grows by D: every later summand of the
-      window is at most step t's. The tail is therefore at most
+      as `hi`, and the attacker stops at its first value above it. Own steps
+      before `_model_from` have no alpha-beta cutoffs, since their predicted
+      opponents optimize another objective.
+    * With `b = 0`, the attacker mover's own steps t < w_end before
+      `_model_from` are ranked: they try attacks in falling order of their
+      contraction bound and stop at the first bound strictly below the value
+      still needed, the best so far at t or, if higher, `lo`. `Weights` keeps
+      every row sum below 1, so no consensus step raises the disagreement, and
+      `_dis_weight` shrinks by D^2 a step as the numerators' scale grows by D:
+      every later summand of the window is at most step t's. The tail is therefore at most
       (w_end - t + 1) times the largest step-t payoff over the defenses
       `_answer` may give, the known one or every affordable one. The
       defender's answers there are fixed by `_answer`, so the window is a
@@ -641,9 +674,9 @@ class _Solver:
       no choice above it. An unranked child gets no `lo`, since it searches in
       full and a `lo` would only keep its exact result out of the memo. The
       probe reads only the step cache; at t = w_end it would repeat
-      `_answer`'s own work, so the last step is searched in full. With `b > 0`
-      the fragmentation term can rise along the window, so the bound is not
-      used.
+      `_answer`'s own work, so a last step that is not the model is searched
+      in full. With `b > 0` the fragmentation term can rise along the window,
+      so the bound is not used.
     * A predicted defender that cannot sustain its maximal action
       (`want_more` false) skips every recovery set E ∪ W with W outside the
       normally attacked edges: it steps exactly as E does and costs at least
@@ -660,7 +693,6 @@ class _Solver:
             raise ValueError("the step cache was built for another game")
         self.cache = cache
         sched = game.schedule
-        H = sched.horizon(ctx.mover)
         self.w_end = sched.window_end(ctx.mover, ctx.t0)
         # The opponent at each step: (its known action, None) or (None, the end of its predicted model).
         self._opponent, opp = {}, opponent(ctx.mover)
@@ -670,17 +702,20 @@ class _Solver:
                 self._opponent[t] = (ctx.known[t - s], None)
             else:
                 self._opponent[t] = (None, min(sched.window_end(opp, s), self.w_end))
+        # The first own step whose opponent is predicted over the rest of the window.
+        self._model_from = next((t for t, o in self._opponent.items() if o == (None, self.w_end)), self.w_end + 1)
 
         den0 = _common_denominator(ctx.state)
         self.x0 = tuple(_over(v, den0) for v in ctx.state)
         self.M = math.lcm(cache.money_scale, ctx.attacker_spent.denominator, ctx.defender_spent.denominator)
         D, util = cache.scale, game.util
         L = _common_denominator((util.a, util.b))
+        H = max(sched.h_attacker, sched.h_defender)
         self.Q = L * den0**2 * D ** (2 * H)
         # The step from t lands at depth d = t + 1 - t0, where the attacker-side
         # summand a*dis/(den0*D^d)^2 - b*gi over Q is dis_weight[t]*dis - gi_weight*gi.
         self._dis_weight = {
-            t: _over(util.a, L) * D ** (2 * (self.w_end - t)) for t in range(ctx.t0, self.w_end + 1)
+            t: _over(util.a, L) * D ** (2 * (ctx.t0 + H - 1 - t)) for t in range(ctx.t0, self.w_end + 1)
         }
         self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
 
@@ -691,8 +726,9 @@ class _Solver:
         self._defense_price = prices.defense_price
         self._sustain = prices.sustain
         self._defending = ctx.mover == DEFENDER
-        self._values: dict = {}
-        self._responses: dict = {}
+        self._values, self._responses = cache.model_memos(ctx.t0, den0, self.M)
+        self._own_values: dict = {}
+        self._own_responses: dict = {}
 
     def _step(self, t: int, x: Numerators, attack: AttackAction, defense: DefenseAction):
         """(next numerators, attacker-side payoff over Q) of the step from t."""
@@ -707,16 +743,22 @@ class _Solver:
         The result is exact if it lies in [lo, hi] and a bound that no memo
         keeps otherwise.
         """
-        if t > (self.w_end if end is None else end):
+        if end is None:
+            if t >= self._model_from:  # a `lo` would only keep the model's exact result out of its memo
+                return self.value(t, x, sa, sd, self.w_end)
+            if self._defending:
+                return self._defend(t, x, sa, sd, None, self._lead(t, x, sa, sd))[:2]
+            memo = self._own_values
+        elif t > end:
             return (0, None)
-        if end is None and self._defending:
-            return self._defend(t, x, sa, sd, None, self._lead(t, x, sa, sd))[:2]
+        else:
+            memo = self._values
         key = (t, x, sa, sd, end)
-        hit = self._values.get(key)
+        hit = memo.get(key)
         if hit is None:
             hit = self._attack(t, x, sa, sd, end, lo, hi)
             if (lo is None or hit[0] >= lo) and (hi is None or hit[0] <= hi):
-                self._values[key] = hit
+                memo[key] = hit
         return hit
 
     def _attack(self, t, x, sa, sd, end, lo, hi):
@@ -751,11 +793,14 @@ class _Solver:
 
     def _defend(self, t, x, sa, sd, end, attack, lo=None):
         """(value, defense, price) of the defender's best response to a same-step attack, or a bound below `lo`."""
+        if end is None and t >= self._model_from:
+            end = self.w_end
+        predicted = end is not None
+        memo = self._responses if predicted else self._own_responses
         key = (t, x, sa, sd, end, attack)
-        hit = self._responses.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        predicted = end is not None
         want_more = self._sustain(DEFENDER, sd, t, end if predicted else self.w_end)
         normal = attack.normal
         skip_waste = predicted and not want_more
@@ -771,7 +816,7 @@ class _Solver:
                 best = (val, d, cost_d)
                 if lo is not None and val < lo:
                     return best
-        self._responses[key] = best
+        memo[key] = best
         return best
 
     # the opponent at step t of the mover's own window

@@ -7,6 +7,7 @@ stay cheap.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -31,6 +32,7 @@ from jamgame.game import (
     Game,
     Schedule,
     SolveContext,
+    StepCache,
     UtilityWeights,
     _attack_catalog,
     _defense_catalog,
@@ -284,6 +286,19 @@ FRONT_LOADED_DEFENDER = SolveContext(
 
 
 @st.composite
+def known_blocks(draw, game, mover, t0):
+    """`()`, or where the schedule reveals it, half the time the opponent's block in force, drawn from its catalog."""
+    schedule, opp = game.schedule, opponent(mover)
+    if not (schedule.knows(mover, t0) and draw(st.booleans())):
+        return ()
+    if opp == ATTACKER:
+        catalog = [a for _, a in _attack_catalog(game.graph, game.cost_model.mode, game.attacker_energy)]
+    else:
+        catalog = list(_defense_catalog(game.graph))
+    return tuple(draw(st.sampled_from(catalog)) for _ in range(schedule.period(opp)))
+
+
+@st.composite
 def oracle_contexts(draw):
     """One decision of a small generated game, with whatever the schedule lets the mover know."""
     n = draw(st.sampled_from([3, 4]))
@@ -307,13 +322,7 @@ def oracle_contexts(draw):
     )
     mover = draw(st.sampled_from([ATTACKER, DEFENDER]))
     t0 = draw(st.integers(min_value=0, max_value=2)) * schedule.period(mover)
-    known = ()
-    if schedule.knows(mover, t0) and draw(st.booleans()):
-        if mover == DEFENDER:
-            catalog = [a for _, a in _attack_catalog(g, mode, game.attacker_energy)]
-        else:
-            catalog = list(_defense_catalog(g))
-        known = tuple(draw(st.sampled_from(catalog)) for _ in range(schedule.period(opponent(mover))))
+    known = draw(known_blocks(game, mover, t0))
     spends = st.integers(min_value=0, max_value=4).map(lambda k: k * HALF)
     return SolveContext(
         game, draw(st.lists(st.integers(min_value=0, max_value=9), min_size=n, max_size=n)), t0, mover,
@@ -350,6 +359,61 @@ def test_solver_matches_exhaustive_search_on_generated_instances():
     elapsed = time.perf_counter() - start
     assert len(refused) <= (len(checked) + len(refused)) // 5
     assert defender_stance == {True, False}
+    assert elapsed < 20.0
+
+
+@st.composite
+def common_decisions(draw):
+    """A generated decision at a time both players decide, after the opponent's decision there."""
+    ctx = draw(oracle_contexts().filter(lambda c: c.game.schedule.decides(opponent(c.mover), c.t0)))
+    opp = opponent(ctx.mover)
+    return replace(ctx, mover=opp, known=draw(known_blocks(ctx.game, opp, ctx.t0))), ctx
+
+
+class CountingCache(StepCache):
+    """A StepCache that counts its `step` calls."""
+
+    calls = 0
+
+    def step(self, *args):
+        self.calls += 1
+        return super().step(*args)
+
+
+def test_solver_after_the_opponents_decision_matches_exhaustive_search_on_generated_instances():
+    # Tolerance: exact plan equality, as above, on the generated draws at a
+    # time both players decide. The opponent's decision at the same time,
+    # state and spends is solved first on the same StepCache, so the mover's
+    # search reads the model nodes that decision left in the cache's memos.
+    # The same 6,000-leaf refusal and one-fifth cap as above. Over half the
+    # checked draws must reuse that work: fewer `step` calls than on a fresh
+    # cache. Wall clock under 20 s.
+    checked, refused, reused = [], [], []
+
+    @settings(max_examples=150, deadline=None)
+    @given(common_decisions())
+    def solver_equals_oracle(decisions):
+        first, ctx = decisions
+        try:
+            expected = brute_force_equilibrium(ctx, work_bound=6_000)
+        except WorkBoundExceeded:
+            event("the oracle refused the draw")
+            refused.append(ctx)
+            return
+        warm, cold = CountingCache(ctx.game), CountingCache(ctx.game)
+        solve_decision(first, warm)
+        before = warm.calls
+        assert solve_decision(ctx, warm) == expected
+        solve_decision(ctx, cold)
+        checked.append(ctx)
+        if warm.calls - before < cold.calls:
+            reused.append(ctx)
+
+    start = time.perf_counter()
+    solver_equals_oracle()
+    elapsed = time.perf_counter() - start
+    assert len(refused) <= (len(checked) + len(refused)) // 5
+    assert 2 * len(reused) > len(checked)
     assert elapsed < 20.0
 
 
@@ -420,7 +484,9 @@ def test_solver_matches_exhaustive_search_on_deep_attacker_windows():
 def test_solver_matches_exhaustive_search_on_deep_attacker_windows_with_fragmentation_weight():
     # Tolerance: exact plan equality, as above, on the same draws with b = 1/2.
     # There the contraction bound is off, so the attacker mover searches its
-    # own window of 3 or 4 steps unranked and unpruned. Wall clock under 15 s.
+    # own window of 3 or 4 steps unranked and unpruned, but for a last step
+    # whose defender is predicted: that step runs as the model, with its
+    # cutoffs. Wall clock under 15 s.
     solver_matches_oracle_on_deep_attacker_windows(HALF)
 
 

@@ -499,6 +499,40 @@ def test_run_file_table_of_the_wrong_shape_is_refused(name, edit, message, tmp_p
         read_run(outdir, scenario)
 
 
+def _set_converged_at(outdir, text):
+    """Rewrite the `# converged_at` line of the run's trace.csv in place."""
+    path = outdir / "trace.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = f"# converged_at {text}".encode()
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda outdir: _set_converged_at(outdir, "99"), "# converged_at '99' is not the last step, 2"),
+        (lambda outdir: _set_converged_at(outdir, "+2"), r"# converged_at '\+2' is not the last step, 2"),
+        (lambda outdir: _edit_run_rows(outdir, "trace.csv", lambda rows: rows[:-1]), "stops after 2 of 3 steps"),
+        (lambda outdir: _edit_run_rows(outdir, "trace.csv", lambda rows: rows + [["3", *rows[-1][1:]]]), "past the"),
+        (lambda outdir: _set_run_cell(outdir, "trace.csv", "k", "+00"), r"trace.csv step 0 is numbered '\+00'"),
+        (lambda outdir: _set_run_cell(outdir, "plans.csv", "decision_index", "01"), "index '01' is not written as '1'"),
+        (lambda outdir: _set_run_cell(outdir, "plans.csv", "start_time", "0_0"), "time '0_0' is not written as '0'"),
+    ],
+    ids=[
+        "converged-past-the-steps", "converged-signed", "none-yet-short", "none-yet-long", "k-signed", "index-padded",
+        "start-0_0",
+    ],
+)
+def test_run_file_step_count_and_integers_are_read_only_as_written(edit, message, tmp_path, capsys):
+    # A 3-step case1 run, written with `# converged_at none`. A run stops early
+    # only where it converges, so a trace has K steps or converged at its last.
+    outdir, scenario = _short_case1_run(tmp_path, "edge")
+    assert read_run(outdir, scenario).converged_at is None
+    edit(outdir)
+    with pytest.raises(ValueError, match=message):
+        read_run(outdir, scenario)
+
+
 @pytest.mark.parametrize("graph", ["star", "path"])
 def test_theta_deeper_than_the_recursion_limit_exits_3(graph, tmp_path):
     n = 1200
@@ -524,8 +558,9 @@ class TestExactValuesOfAnySize:
     HUGE = Fraction(10**5000, 3)
 
     def test_trace_and_plans_round_trip(self, tmp_path):
-        # A 12,500-step trace_long run reaches such states after about 85 s; build one directly.
-        s = small_scenario()
+        # A 12,500-step trace_long run reaches such states after about 85 s; build
+        # one directly, as the one step of a one-step run.
+        s = replace(small_scenario(), K=1)
         step = replace(run(s).steps[0], state=(self.HUGE, self.HUGE + 1, -self.HUGE), payoff=self.HUGE**2)
         plan = Plan(ATTACKER, 1, 0, (AttackAction.empty(),), self.HUGE)
         trace = Trace(s, (step,), (plan,), None)

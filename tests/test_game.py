@@ -577,6 +577,31 @@ class TestSharedPricing:
         shared = StepCache(ctxs[0].game)
         assert [solve_decision(c, cache=shared) for c in ctxs] == [solve_decision(c) for c in ctxs]
 
+    def test_decisions_that_share_model_memos_solve_as_on_fresh_caches(self):
+        # case1's game at b = 1/2 on one cache. At t0 = 2 both players decide:
+        # the two states have the same numerators over different denominators,
+        # and the two spends the same numerators over different money scales,
+        # so a model memo keyed without the state's denominator or without the
+        # money scale would hand one decision's values to the next. At t0 = 1
+        # the attacker knows the defender's block from 0, and its two known
+        # blocks share one model memo but not their own nodes.
+        case1 = bundled_scenario("case1").game
+        game = replace(case1, util=replace(case1.util, b=Fraction(1, 2)))
+        same, halved, third = (1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2)), Fraction(1, 3)
+        ctxs = [
+            SolveContext(game, state, 2, mover, spent, spent)
+            for state, spent in ((same, 1), (halved, 1), (halved, third), (same, third))
+            for mover in (ATTACKER, DEFENDER)
+        ] + [
+            SolveContext(game, same, 1, ATTACKER, known=known)
+            for known in ((defense(), defense()), (defense(), defense([(1, 2), (2, 3)])))
+        ]
+        solvers = [_Solver(c) for c in ctxs[:8]]
+        assert {s.x0 for s in solvers} == {same} and {s.M for s in solvers} == {2, 6}
+        assert {c.attacker_spent * s.M for c, s in zip(ctxs, solvers)} == {2}
+        shared = StepCache(game)
+        assert [solve_decision(c, shared) for c in ctxs] == [solve_decision(c) for c in ctxs]
+
     def test_cache_of_another_graph_is_refused(self):
         with pytest.raises(ValueError, match="another game"):
             solve_decision(make_ctx(), cache=StepCache(make_ctx(graph=EDGE1, state=(0, 1)).game))
@@ -740,11 +765,12 @@ class TestPruning:
     def test_memos_hold_only_exact_results(self, cadence, b, mover):
         # A cut result is only a bound; a memo that kept one would hand it to
         # a later reader that needs the exact value or the best action. With
-        # b > 0 no own step is ranked.
+        # b > 0 no own step is ranked. Model nodes and own nodes have memos of
+        # their own.
         solver = self.solved(cadence, mover, b=b)
-        for key, hit in solver._values.items():
+        for key, hit in [*solver._values.items(), *solver._own_values.items()]:
             assert _Solver(solver.ctx).value(*key) == hit
-        for key, hit in solver._responses.items():
+        for key, hit in [*solver._responses.items(), *solver._own_responses.items()]:
             assert _Solver(solver.ctx)._defend(*key) == hit
 
     @pytest.mark.parametrize("mover", [ATTACKER, DEFENDER])
@@ -765,17 +791,18 @@ class TestPruning:
 
     @pytest.mark.parametrize("state", [(1, 2, 3), (1, 1, 3)], ids=["distinct", "agreed-pair"])
     def test_a_floor_equal_to_the_value_cuts_nothing(self, state):
-        # In the attacker mover's own window a `lo` stops the search only once
-        # no attack left can reach it: a `lo` equal to the value changes no
-        # result, and a `lo` above it yields a bound below it that no memo keeps.
+        # At the attacker mover's own steps that do not run as the model, a
+        # `lo` stops the search only once no attack left can reach it: a `lo`
+        # equal to the value changes no result, and a `lo` above it yields a
+        # bound below it that no memo keeps.
         solver = self.solved("fig1", ATTACKER, state)
-        own = [(key, hit) for key, hit in solver._values.items() if key[4] is None and key[0] < solver.w_end]
+        own = [(key, hit) for key, hit in solver._own_values.items() if key[4] is None and key[0] < solver.w_end]
         assert own
         for key, hit in own[:40]:
             assert _Solver(solver.ctx).value(*key, lo=hit[0]) == hit
             fresh = _Solver(solver.ctx)
             assert fresh.value(*key, lo=hit[0] + 1)[0] <= hit[0]
-            assert key not in fresh._values
+            assert key not in fresh._own_values
 
     @staticmethod
     def step_calls(name, monkeypatch, b=0) -> int:
@@ -790,27 +817,49 @@ class TestPruning:
         return len(calls)
 
     def test_case2_run_makes_fewer_steps_than_without_pruning(self, monkeypatch):
-        # Without pruning a case2 run made 22,859 StepCache.step calls; with it, 8,465.
+        # Without pruning a case2 run made 22,859 StepCache.step calls; with it,
+        # 8,465, and 3,597 since own tails that are the model run as the model.
         assert self.step_calls("case2", monkeypatch) < 22_859
 
     def test_unranked_own_steps_keep_their_results_memoized(self, monkeypatch):
         # With b > 0 no own step is ranked, so none hands its child a `lo`, and
-        # every exact own result stays in the memo: a case1 run makes 16,066
+        # every exact own result stays in the memo: a case1 run makes 7,661
         # StepCache.step calls. A `lo` handed to every own child kept results
-        # below it out of the memo, and the run made 16,164.
-        assert self.step_calls("case1", monkeypatch, b=HALF) <= 16_066
+        # below it out of the memo, and the run made 7,717 (16,164 against
+        # 16,066 before own tails that are the model ran as the model).
+        assert self.step_calls("case1", monkeypatch, b=HALF) <= 7_661
 
     @pytest.mark.parametrize("name, unbounded", [("case1", 16_066), ("fig1_schedule", 476_085)])
     def test_run_makes_fewer_steps_than_without_the_contraction_bound(self, name, unbounded, monkeypatch):
         # Without the attacker mover's contraction bound a case1 run made 16,066
         # StepCache.step calls and a fig1_schedule run 476,085; with the bound
-        # as a skip alone, 5,926 and 100,998; ranked and with floors, 5,174 and 63,900.
+        # as a skip alone, 5,926 and 100,998; ranked and with floors, 5,174 and
+        # 63,900; with own tails that are the model run as the model, 3,462 and 52,230.
         assert self.step_calls(name, monkeypatch) < unbounded
+
+    def test_own_steps_that_run_as_the_model_drop_the_floor_they_are_handed(self, monkeypatch):
+        # A `lo` would only keep the model node's exact result out of its memo:
+        # a fig1_schedule run makes 52,230 StepCache.step calls, and 52,399
+        # when a ranked own step's `lo` reaches the model node below it.
+        assert self.step_calls("fig1_schedule", monkeypatch) <= 52_230
+
+    @pytest.mark.parametrize(
+        "name, b, ceiling", [("theta_example", 0, 10_000), ("case2", 0, 5_000), ("case1", HALF, 10_000)]
+    )
+    def test_own_tails_that_are_the_model_run_as_the_model(self, name, b, ceiling, monkeypatch):
+        # From an own step whose opponents, there and at every later step, are
+        # predicted over the rest of the window, the own tail is that model: it
+        # gets the model's cutoffs and memo, and both players' decisions at one
+        # time share that memo. StepCache.step calls before and after:
+        # theta_example 36,811 and 7,589 (at h = 1 every step is such a step),
+        # case2 8,465 and 3,597, case1 at b = 1/2 16,066 and 7,661.
+        assert self.step_calls(name, monkeypatch, b=b) < ceiling
 
     def test_deep_window_runs_make_few_steps_from_every_initial_state(self, monkeypatch):
         # case1's game on fig1's cadence, four decisions. Skipping attacks in
         # catalog order, the work hung on the state: 7,526 to 16,388 calls over
-        # these states. Ranked by their bound and with floors, 5,583 to 6,063.
+        # these states. Ranked by their bound and with floors, 5,583 to 6,063;
+        # with own tails that are the model run as the model, 4,779 to 5,268.
         calls = []
         real = StepCache.step
         monkeypatch.setattr(StepCache, "step", lambda self, *args: calls.append(None) or real(self, *args))
