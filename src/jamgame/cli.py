@@ -27,7 +27,7 @@ from .analysis import (
     consensus_verdict,
     theta_vector,
 )
-from .dynamics import as_fraction, make_state
+from .dynamics import as_fraction
 from .energy import NODE_ATTACK, budget_at
 from .game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Plan
 from .network import Edge, Graph
@@ -65,11 +65,16 @@ GRID_PARAMS = {
 # --- run summaries -------------------------------------------------------------
 
 
-def summarize(trace: Trace) -> dict:
-    """The object summary.json holds: the clusters against their bound, both ledgers, every decision's utility."""
+def summarize(trace: Trace, bound: int | None = None) -> dict:
+    """The object summary.json holds: the clusters against their bound, both ledgers, every decision's utility.
+
+    A caller that already holds the scenario's cluster bound, as `_theta_gate`
+    returns it, passes it as `bound`; otherwise it is computed here.
+    """
     s = trace.scenario
     verdict = consensus_verdict(trace)
-    bound = cluster_upper_bound(s.game, work_bound=s.work_bound_theta)
+    if bound is None:
+        bound = cluster_upper_bound(s.game, work_bound=s.work_bound_theta)
     count = len(verdict.clusters)
     last = trace.steps[-1]
     return {
@@ -175,6 +180,14 @@ def _read_items(text: str, read_item, write, allowed) -> frozenset:
 def _read_int(text: str, name: str) -> int:
     """An integer cell, read only if `str` gives it back: the writer writes no plus sign, padding or underscore."""
     value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{name} {text!r} is not written as {str(value)!r}")
+    return value
+
+
+def _read_fraction(text: str, name: str) -> Fraction:
+    """A fraction cell, read only if `str` gives it back: the writer writes `1/2`, never `0.5`, `2/4` or `+1/2`."""
+    value = as_fraction(text)
     if str(value) != text:
         raise ValueError(f"{name} {text!r} is not written as {str(value)!r}")
     return value
@@ -299,12 +312,12 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
                     defense_planned=DefenseAction(_edges_parse(row["recover_planned"], g)),
                     defense_effective=_edges_parse(row["recover_effective"], g),
                     resolved_edges=_edges_parse(row["resolved"], g),
-                    state=make_state([row[f"x{i}"] for i in range(1, g.n + 1)]),
-                    attacker_spent=as_fraction(row["attacker_spent"]),
-                    attacker_wasted=as_fraction(row["attacker_wasted"]),
-                    defender_spent=as_fraction(row["defender_spent"]),
-                    defender_wasted=as_fraction(row["defender_wasted"]),
-                    payoff=as_fraction(row["payoff"]),
+                    state=tuple(_read_fraction(row[f"x{i}"], f"trace.csv x{i}") for i in range(1, g.n + 1)),
+                    attacker_spent=_read_fraction(row["attacker_spent"], "trace.csv attacker_spent"),
+                    attacker_wasted=_read_fraction(row["attacker_wasted"], "trace.csv attacker_wasted"),
+                    defender_spent=_read_fraction(row["defender_spent"], "trace.csv defender_spent"),
+                    defender_wasted=_read_fraction(row["defender_wasted"], "trace.csv defender_wasted"),
+                    payoff=_read_fraction(row["payoff"], "trace.csv payoff"),
                 )
             )
     if not steps:
@@ -334,7 +347,7 @@ def read_run(outdir: Path, scenario: Scenario) -> Trace:
                     decision_index=_read_int(row["decision_index"], "plans.csv decision_index"),
                     start_time=_read_int(row["start_time"], "plans.csv start_time"),
                     steps=plan_steps,
-                    utility=as_fraction(row["utility"]),
+                    utility=_read_fraction(row["utility"], "plans.csv utility"),
                 )
             )
     return Trace(scenario=scenario, steps=tuple(steps), plans=tuple(plans), converged_at=converged_at)
@@ -404,18 +417,21 @@ def _game_gate(scenario: Scenario, override: int | None) -> None:
         )
 
 
-def _theta_gate(scenario: Scenario) -> None:
-    """Refuse before the game what summarize would refuse after it: a cluster bound whose theta exceeds work_bounds.theta."""
-    cluster_upper_bound(scenario.game, work_bound=scenario.work_bound_theta)
+def _theta_gate(scenario: Scenario) -> int:
+    """The scenario's cluster bound, computed before the game so that a theta past work_bounds.theta is refused first.
+
+    Its caller hands the bound to `summarize`, so theta is enumerated once per run.
+    """
+    return cluster_upper_bound(scenario.game, work_bound=scenario.work_bound_theta)
 
 
 def cmd_run(args) -> int:
     scenario = _load(args.scenario)
     _game_gate(scenario, args.work_bound)
-    _theta_gate(scenario)
+    bound = _theta_gate(scenario)
     outdir = _output_dir(args.output)
     trace = run(scenario)
-    summary = summarize(trace)
+    summary = summarize(trace, bound)
     (outdir / "scenario.json").write_text(dumps_scenario(scenario))
     write_trace_csv(trace, outdir / "trace.csv")
     write_plans_csv(trace, outdir / "plans.csv")
@@ -515,8 +531,8 @@ def cmd_sweep(args) -> int:
         try:
             scenario = _apply_point(base, point, row["name"])
             _game_gate(scenario, args.work_bound)
-            _theta_gate(scenario)
-            summary = summarize(run(scenario))
+            bound = _theta_gate(scenario)
+            summary = summarize(run(scenario), bound)
         except ScenarioError as err:
             row["status"] = "validation_error"
             row["error"] = str(err)

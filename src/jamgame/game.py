@@ -435,12 +435,16 @@ class _Prices:
     Prices, spends and budget lines are integer numerators over M. The table
     holds the attack catalog with its prices, which `attack_prices` also maps
     from action to price, the defense catalog, and memos of budget lines,
-    defense prices, the sustain test and option lists. Attack prices come
-    from `AttackAction.cost` when the catalog is built; each memo is a
-    `functools.cache` over its rule (`budget_at`, `defense_cost`,
-    `_sustainable` on the maximal action's price, `_affordable`), so no rule
-    is restated here. The memos close over locals, never over the table, so
-    no reference cycle keeps a table or its step cache alive.
+    defense (price, waste) pairs, the sustain test and option lists. Attack
+    prices come from `AttackAction.cost` when the catalog is built; each memo
+    is a `functools.cache` over its rule (`defense_cost`, `_sustainable` on
+    the maximal action's price, `_affordable`), so no rule is restated here.
+    `budget(player, t)` is the player's line k0 + r*t in whole numbers, with
+    k0 and r read from `budget_at` at t = 0 and t = 1 when the table is
+    built: the line is affine, so a miss at a new t costs one multiply and
+    `budget_at` stays the one home of the rule. The memos close over locals,
+    never over the table, so no reference cycle keeps a table or its step
+    cache alive.
 
     An option list depends only on the slack `limit = budget(t) - spend`
     and, for defenses, on the normally attacked edges that price them, so
@@ -462,14 +466,21 @@ class _Prices:
         self.attack_prices = {a: c for c, a in att_catalog}
         self.def_catalog = def_catalog = tuple(sorted(_defense_catalog(game.graph), key=lambda d: -d.size))
         full_cost = {p: _over(_full_action_cost(game, p), M) for p in (ATTACKER, DEFENDER)}
+        # each player's budget line as (k0, r) over M: budget(t) = k0 + r*t
+        lines = {}
+        for p in (ATTACKER, DEFENDER):
+            k0 = _over(budget_at(game.energy(p), 0), M)
+            lines[p] = (k0, _over(budget_at(game.energy(p), 1), M) - k0)
 
         @cache
         def budget(player: str, t: int) -> int:
-            return _over(budget_at(game.energy(player), t), M)
+            k0, r = lines[player]
+            return k0 + r * t
 
         @cache
-        def defense_price(recover: frozenset[Edge], normal: frozenset[Edge]) -> int:
-            return _over(defense_cost(recover, normal, game.cost_model, game.defender_energy)[0], M)
+        def defense(recover: frozenset[Edge], normal: frozenset[Edge]) -> tuple[int, int]:
+            cost, waste = defense_cost(recover, normal, game.cost_model, game.defender_energy)
+            return _over(cost, M), _over(waste, M)
 
         @cache
         def sustain(player: str, spent: int, t: int, end: int) -> bool:
@@ -479,7 +490,7 @@ class _Prices:
 
         @cache
         def defense_options(limit: int, normal: frozenset[Edge]):
-            return _affordable(((defense_price(d.recover, normal), d) for d in def_catalog), limit)
+            return _affordable(((defense(d.recover, normal)[0], d) for d in def_catalog), limit)
 
         # feasible candidates at absolute time t
 
@@ -489,7 +500,8 @@ class _Prices:
         def defenses(t: int, sd: int, normal: frozenset[Edge]):
             return defense_options(budget(DEFENDER, t) - sd, normal)
 
-        self.defense_price, self.sustain, self.attacks, self.defenses = defense_price, sustain, attacks, defenses
+        self.budget, self.defense, self.sustain = budget, defense, sustain
+        self.attacks, self.defenses = attacks, defenses
 
 
 class StepCache:
@@ -516,7 +528,13 @@ class StepCache:
     hands out the solver's memos of model nodes for the current decision
     time, state denominator and money scale, so both players' decisions at
     one time share their predicted models; a new key replaces the pair, so
-    the cache holds one decision time's model nodes at most.
+    the cache holds one decision time's model nodes at most. `frame(t0,
+    state, M)` hands out the set-up both decisions at one time share (the
+    state's numerators, the value scale Q, the step weights and that key's
+    model memos), built once and replaced by a new key in the same way.
+    `layout(mover, t0, known)` is the opponent at each step of the mover's
+    window, read from `Schedule.supplier` once per phase of t0 within the
+    lcm of the periods and shifted to t0 after that.
     """
 
     def __init__(self, game: Game):
@@ -532,6 +550,8 @@ class StepCache:
         self.prices = cache(lambda M: _Prices(game, M))
         self._model_key = None
         self._model_memos: tuple[dict, dict] = ({}, {})
+        self._frame_key = self._frame = None
+        self._layouts: dict = {}
 
     def model_memos(self, t0: int, den0: int, M: int) -> tuple[dict, dict]:
         """The solver's (attacker, defender) memos of model nodes at t0, state denominator den0 and money scale M.
@@ -544,6 +564,44 @@ class StepCache:
         if key != self._model_key:
             self._model_key, self._model_memos = key, ({}, {})
         return self._model_memos
+
+    def frame(self, t0: int, state: State, M: int) -> _Frame:
+        """The set-up of every decision at t0 from `state` on money scale M; a new key replaces it."""
+        key = (t0, state, M)
+        if key != self._frame_key:
+            self._frame_key, self._frame = key, _Frame(self, t0, state, M)
+        return self._frame
+
+    def layout(self, mover: str, t0: int, known: tuple) -> tuple[dict, int]:
+        """(the opponent at each step of the mover's window from t0, the first step from which it is one model).
+
+        The opponent at step t is (its known action, None) when `known` is
+        the block in force and supplies t, else (None, the end of its
+        predicted model): the supplying decision's window end, clipped to the
+        mover's. Shifting t0 by the lcm of the periods shifts every supplier
+        and window end by as much, so `Schedule.supplier` runs once per
+        (mover, t0 mod lcm, whether a block is known), at t0 mod lcm, and each
+        decision shifts that layout to its t0.
+        """
+        sched = self.game.schedule
+        phase = t0 % sched.lcm_period
+        key = (mover, phase, bool(known))
+        base = self._layouts.get(key)
+        if base is None:
+            w_end, opp = sched.window_end(mover, phase), opponent(mover)
+            steps = []  # (t, index of its action in the known block or None, model end or None)
+            for t in range(phase, w_end + 1):
+                s = sched.supplier(mover, phase, t)
+                if s < phase and known:
+                    steps.append((t, t - s, None))
+                else:
+                    steps.append((t, None, min(sched.window_end(opp, s), w_end)))
+            model_from = next((t for t, _, end in steps if end == w_end), w_end + 1)
+            base = self._layouts[key] = (tuple(steps), model_from)
+        steps, model_from = base
+        shift = t0 - phase
+        table = {t + shift: (None, end + shift) if i is None else (known[i], None) for t, i, end in steps}
+        return table, model_from + shift
 
     def resolve(self, attack: AttackAction, defense: DefenseAction):
         """(resolved edges, their group index, their weights as numerators over D) of one step's actions."""
@@ -594,6 +652,34 @@ class StepCache:
         return tuple(_fraction(v, s1) for v in x1), edges, payoff, move
 
 
+class _Frame:
+    """The set-up shared by every decision at one time t0 from one state on one money scale M.
+
+    `x0` holds the state's numerators over den0, the lcm of its
+    denominators. Values are numerators over Q = L*den0^2*D^(2H), where L is
+    the lcm of the utility weights' denominators, D the step cache's scale and
+    H the longer of the two players' horizons, so both players' decisions at
+    t0 value on one scale. The step from t lands at depth d = t + 1 - t0,
+    where the attacker-side summand a*dis/(den0*D^d)^2 - b*gi over Q is
+    dis_weight[t]*dis - gi_weight*gi, for t in t0 .. t0 + H - 1. `values` and
+    `responses` are the step cache's model memos for (t0, den0, M).
+    """
+
+    __slots__ = ("x0", "Q", "dis_weight", "gi_weight", "values", "responses")
+
+    def __init__(self, cache: StepCache, t0: int, state: State, M: int):
+        sched, util, D = cache.game.schedule, cache.game.util, cache.scale
+        den0 = _common_denominator(state)
+        self.x0 = tuple(_over(v, den0) for v in state)
+        L = _common_denominator((util.a, util.b))
+        H = max(sched.h_attacker, sched.h_defender)
+        self.Q = L * den0**2 * D ** (2 * H)
+        a_L = _over(util.a, L)
+        self.dis_weight = {t: a_L * D ** (2 * (t0 + H - 1 - t)) for t in range(t0, t0 + H)}
+        self.gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
+        self.values, self.responses = cache.model_memos(t0, den0, M)
+
+
 # --- the solver --------------------------------------------------------------
 
 
@@ -619,6 +705,12 @@ class _Solver:
     two players' horizons, so both players' decisions at t0 value on one
     scale; a positive rescaling changes no choice. The one conversion back is
     `Plan.utility = _fraction(±total, Q)`, negated for a defender mover.
+
+    Set-up reads what a decision shares from the step cache and computes
+    nothing per step: the state's numerators, Q, the step weights and the
+    model memos come from `StepCache.frame`, built by the first decision at
+    t0 and reused by the second, and the opponent layout comes from
+    `StepCache.layout`, which runs `Schedule.supplier` once per phase of t0.
 
     Known steps come first in the window, and the ends of the predicted
     models never fall along it. So from `_model_from`, the first own step
@@ -692,41 +784,20 @@ class _Solver:
         elif cache.game is not game and cache.game != game:
             raise ValueError("the step cache was built for another game")
         self.cache = cache
-        sched = game.schedule
-        self.w_end = sched.window_end(ctx.mover, ctx.t0)
+        self.w_end = game.schedule.window_end(ctx.mover, ctx.t0)
         # The opponent at each step: (its known action, None) or (None, the end of its predicted model).
-        self._opponent, opp = {}, opponent(ctx.mover)
-        for t in range(ctx.t0, self.w_end + 1):
-            s = sched.supplier(ctx.mover, ctx.t0, t)
-            if s < ctx.t0 and ctx.known:
-                self._opponent[t] = (ctx.known[t - s], None)
-            else:
-                self._opponent[t] = (None, min(sched.window_end(opp, s), self.w_end))
-        # The first own step whose opponent is predicted over the rest of the window.
-        self._model_from = next((t for t, o in self._opponent.items() if o == (None, self.w_end)), self.w_end + 1)
-
-        den0 = _common_denominator(ctx.state)
-        self.x0 = tuple(_over(v, den0) for v in ctx.state)
+        self._opponent, self._model_from = cache.layout(ctx.mover, ctx.t0, ctx.known)
         self.M = math.lcm(cache.money_scale, ctx.attacker_spent.denominator, ctx.defender_spent.denominator)
-        D, util = cache.scale, game.util
-        L = _common_denominator((util.a, util.b))
-        H = max(sched.h_attacker, sched.h_defender)
-        self.Q = L * den0**2 * D ** (2 * H)
-        # The step from t lands at depth d = t + 1 - t0, where the attacker-side
-        # summand a*dis/(den0*D^d)^2 - b*gi over Q is dis_weight[t]*dis - gi_weight*gi.
-        self._dis_weight = {
-            t: _over(util.a, L) * D ** (2 * (ctx.t0 + H - 1 - t)) for t in range(ctx.t0, self.w_end + 1)
-        }
-        self._gi_weight = _over(util.b, L) * den0**2 * D ** (2 * H)
-
+        frame = cache.frame(ctx.t0, ctx.state, self.M)
+        self.x0, self.Q, self._dis_weight, self._gi_weight = frame.x0, frame.Q, frame.dis_weight, frame.gi_weight
+        self._values, self._responses = frame.values, frame.responses
         prices = cache.prices(self.M)
         self._attacks = prices.attacks
         self._defenses = prices.defenses
         self._attack_prices = prices.attack_prices
-        self._defense_price = prices.defense_price
+        self._defense = prices.defense
         self._sustain = prices.sustain
         self._defending = ctx.mover == DEFENDER
-        self._values, self._responses = cache.model_memos(ctx.t0, den0, self.M)
         self._own_values: dict = {}
         self._own_responses: dict = {}
 
@@ -830,7 +901,7 @@ class _Solver:
         """(defense, price) answering the attack at t: the defender mover's best, or the known or predicted one."""
         known, end = (None, None) if self._defending else self._opponent[t]
         if known is not None:
-            return known, self._defense_price(known.recover, attack.normal)
+            return known, self._defense(known.recover, attack.normal)[0]
         return self._defend(t, x, sa, sd, end, attack)[1:]
 
     def _payoff_bound(self, t, x, sd, attack: AttackAction) -> int:

@@ -9,9 +9,13 @@ prefixes are applied open-loop: `StepCache.commit` resolves attacks against
 recoveries and steps the consensus dynamics with the solver's integer rules,
 and converts back to Fractions once per value the trace records. The
 defender's planned recovery lands only on edges normally attacked that step;
-the rest of the planned set is waste. A committed action that overdraws its
-player's budget line is a `RuntimeError`. A run stops early once the state is
-numerically stationary for a configured number of consecutive steps.
+the rest of the planned set is waste. Committed actions are priced from the
+step cache's pricing table on the game's money scale, the one every decision
+of the run uses, and the three ledgers are kept as whole numbers over that
+scale; each becomes a Fraction once per step, for the trace and the next
+decision. A committed action that overdraws its player's budget line is a
+`RuntimeError`. A run stops early once the state is numerically stationary
+for a configured number of consecutive steps.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import State
-from .energy import budget_at, defense_cost
 from .game import (
     ATTACKER,
     DEFENDER,
@@ -29,6 +32,7 @@ from .game import (
     Plan,
     SolveContext,
     StepCache,
+    _fraction,
     opponent,
     solve_decision,
 )
@@ -74,8 +78,12 @@ def run(scenario: Scenario) -> Trace:
     game = scenario.game
     sched = game.schedule
     cache = StepCache(game)
+    prices = cache.prices(cache.money_scale)
+    M = prices.M
     x = scenario.initial_state
-    att_spent = def_spent = def_wasted = Fraction(0)
+    # the ledgers over M, and the spends as Fractions for the next decision
+    att, dfs, dfw = 0, 0, 0
+    att_spent = def_spent = Fraction(0)
     plans: list[Plan] = []
     current: dict[str, Plan] = {}
     steps: list[TraceStep] = []
@@ -94,14 +102,18 @@ def run(scenario: Scenario) -> Trace:
         atk = current[ATTACKER].steps[k - current[ATTACKER].start_time]
         dfn = current[DEFENDER].steps[k - current[DEFENDER].start_time]
 
-        d_cost, d_waste = defense_cost(dfn.recover, atk.normal, game.cost_model, game.defender_energy)
-        att_spent += atk.cost(game.attacker_energy)
-        def_spent += d_cost
-        def_wasted += d_waste
-        for who, spent in ((ATTACKER, att_spent), (DEFENDER, def_spent)):
-            budget = budget_at(game.energy(who), k)
+        d_cost, d_waste = prices.defense(dfn.recover, atk.normal)
+        att += prices.attack_prices[atk]
+        dfs += d_cost
+        dfw += d_waste
+        for who, spent in ((ATTACKER, att), (DEFENDER, dfs)):
+            budget = prices.budget(who, k)
             if spent > budget:
-                raise RuntimeError(f"committed {who} action exceeds budget at k={k}: spent {spent}, budget {budget}")
+                raise RuntimeError(
+                    f"committed {who} action exceeds budget at k={k}: "
+                    f"spent {_fraction(spent, M)}, budget {_fraction(budget, M)}"
+                )
+        att_spent, def_spent = _fraction(att, M), _fraction(dfs, M)
 
         x_next, resolved_edges, payoff, delta = cache.commit(x, atk, dfn)
         steps.append(
@@ -115,7 +127,7 @@ def run(scenario: Scenario) -> Trace:
                 attacker_spent=att_spent,
                 attacker_wasted=Fraction(0),
                 defender_spent=def_spent,
-                defender_wasted=def_wasted,
+                defender_wasted=_fraction(dfw, M),
                 payoff=payoff,
             )
         )

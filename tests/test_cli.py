@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jamgame
+from jamgame import analysis
 from jamgame.cli import _csv_record, main, read_run, summarize, write_plans_csv, write_trace_csv
 from jamgame.dynamics import Weights, make_state
 from jamgame.energy import EnergyParams
@@ -182,6 +184,14 @@ class TestRun:
         assert main(["sweep", str(path), "--output", str(tmp_path / "sweep")]) == 0
         row = next(csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()))
         assert (row["status"], row["error"]) == ("work_bound_exceeded", err.removeprefix("work bound exceeded: ").strip())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_theta_is_enumerated_once_per_run(self, command, tmp_path, monkeypatch, capsys):
+        # case1's cluster bound needs theta: the gate's bound is the one summary.json reports
+        calls, real = [], analysis.theta_vector
+        monkeypatch.setattr(analysis, "theta_vector", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        assert main([command, "case1", "--output", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_oversized_instance_exits_3(self, tmp_path, capsys):
         s = Scenario(path_game(7, h=(6, 2), T=(1, 2)), make_state(range(1, 8)), K=10, name="big")
@@ -496,6 +506,30 @@ def test_run_file_table_of_the_wrong_shape_is_refused(name, edit, message, tmp_p
     outdir, scenario = _short_case1_run(tmp_path, "edge")
     _edit_run_rows(outdir, name, edit)
     with pytest.raises(ValueError, match=message):
+        read_run(outdir, scenario)
+
+
+@pytest.mark.parametrize(
+    ("name", "column", "text"),
+    [
+        ("trace.csv", "x1", "1.0"),
+        ("trace.csv", "x2", "14/6"),
+        ("trace.csv", "x3", " 8/3"),
+        ("trace.csv", "attacker_spent", "+1"),
+        ("trace.csv", "attacker_wasted", "0/5"),
+        ("trace.csv", "defender_spent", "-0"),
+        ("trace.csv", "defender_wasted", "0e3"),
+        ("trace.csv", "payoff", "28/6"),
+        ("plans.csv", "utility", "5248/486"),
+    ],
+)
+def test_run_file_fraction_cell_is_read_only_as_written(name, column, text, tmp_path, capsys):
+    # A 3-step case1 run writes k = 0 as x = (1, 7/3, 8/3), spends 1 and 0,
+    # wastes 0, payoff 14/3 and the first utility 2624/243: `str(Fraction)`,
+    # in lowest terms with no sign, point or padding. Each text is that value.
+    outdir, scenario = _short_case1_run(tmp_path, "edge")
+    _set_run_cell(outdir, name, column, text)
+    with pytest.raises(ValueError, match=re.escape(f"{column} '{text}' is not written as")):
         read_run(outdir, scenario)
 
 

@@ -359,6 +359,52 @@ def test_supplier_matches_the_reference_layout_on_every_small_schedule():
     assert slots == 185_588
 
 
+class TestSharedSetUp:
+    """Set-up a decision shares: the layout per phase of t0 within the lcm, the frame per decision time."""
+
+    @pytest.mark.parametrize(
+        ("T_a", "T_d", "h_a", "h_d"), [(2, 3, 6, 4), (1, 2, 3, 3), (2, 1, 2, 4), (3, 2, 4, 5), (3, 1, 5, 2)]
+    )
+    def test_cached_layout_is_the_supplier_layout(self, T_a, T_d, h_a, h_d):
+        ctx = make_ctx(T_attacker=T_a, T_defender=T_d, h_attacker=h_a, h_defender=h_d)
+        sched, cache = ctx.game.schedule, StepCache(ctx.game)
+        checked = {(): 0, "known": 0}
+        # t0 runs past the lcm, so later phases read layouts cached at earlier ones
+        for t0 in range(3 * sched.lcm_period + 1):
+            for mover in (ATTACKER, DEFENDER):
+                if not sched.decides(mover, t0):
+                    continue
+                blocks = [()]
+                if sched.knows(mover, t0):
+                    blocks.append(tuple(f"known{i}@{t0}" for i in range(sched.period(opponent(mover)))))
+                for known in blocks:
+                    expected = supplied_layout(sched, mover, t0, known)
+                    table, model_from = cache.layout(mover, t0, known)
+                    got = {t: ("predicted", end) if k is None else ("fixed", k) for t, (k, end) in table.items()}
+                    assert got == expected, (mover, t0, known)
+                    w_end = sched.window_end(mover, t0)
+                    assert model_from == next((t for t, o in expected.items() if o == ("predicted", w_end)), w_end + 1)
+                    checked["known" if known else ()] += 1
+        assert all(checked.values()), checked
+
+    def test_both_decisions_at_a_time_share_one_frame_and_a_new_time_replaces_it(self, monkeypatch):
+        frames, real = [], StepCache.frame
+        monkeypatch.setattr(StepCache, "frame", lambda cache, *args: frames.append(real(cache, *args)) or frames[-1])
+        case1 = bundled_scenario("case1")
+        run(replace(case1, game=replace(case1.game, schedule=Schedule(1, 1, 2, 2)), K=4))
+        assert len(frames) == 8
+        assert all(frames[i] is frames[i + 1] for i in range(0, 8, 2))
+        assert len(set(map(id, frames))) == 4
+        cache = StepCache(case1.game)
+        state = case1.initial_state
+        first = cache.frame(0, state, 2)
+        assert cache.frame(0, tuple(state), 2) is first
+        halved = tuple(v / 2 for v in state)
+        assert cache.frame(0, halved, 2).x0 == first.x0 and cache.frame(0, halved, 2).Q == 4 * first.Q
+        assert cache.frame(1, state, 2) is not first
+        assert cache.frame(0, state, 2) is not first
+
+
 class TestOpponentLayout:
     def test_simultaneous_shorter_defender(self):
         # attacker window [0,2]; defender re-decides every step with a 2-step window

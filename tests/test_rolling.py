@@ -4,11 +4,23 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame import game, rolling
 from jamgame.dynamics import Weights, consensus_step, make_state
-from jamgame.energy import EnergyParams, budget_at
-from jamgame.game import ATTACKER, DEFENDER, AttackAction, DefenseAction, Game, Plan, Schedule, UtilityWeights
+from jamgame.energy import CostModel, EnergyParams, budget_at, defense_cost
+from jamgame.game import (
+    ATTACKER,
+    DEFENDER,
+    AttackAction,
+    DefenseAction,
+    Game,
+    Plan,
+    Schedule,
+    StepCache,
+    UtilityWeights,
+)
 from jamgame.network import Graph, apply_actions
 from jamgame.rolling import Trace, run
 from jamgame.scenario import Scenario, bundled_scenario
@@ -278,3 +290,52 @@ class TestRun:
         states = trace.states()
         assert states[0] == s.initial_state
         assert states[1:] == [st.state for st in trace.steps]
+
+
+WHOLE = st.sampled_from([Fraction(1), Fraction(2), Fraction(3)])
+PARTS = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6), Fraction(3, 2)])
+
+
+@st.composite
+def ledger_runs(draw, cost_model, fractional):
+    """A short run on a path or triangle under `cost_model`, with whole or fractional energy parameters."""
+    price = PARTS if fractional else WHOLE
+    graph = draw(st.sampled_from([PATH3, Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])]))
+    rho_a, rho_d, normal, recover = draw(price), draw(price), draw(price), draw(price)
+    att = EnergyParams.attacker(rho_a + draw(price), rho_a, normal, normal + draw(price))
+    dfn = EnergyParams.defender(rho_d + draw(price), rho_d, recover)
+    h = [draw(st.integers(1, 2)) for _ in range(2)]
+    T = [draw(st.integers(1, hh)) for hh in h]
+    g = Game(graph, Weights.uniform(graph), UtilityWeights(), Schedule(T[0], T[1], h[0], h[1]), att, dfn, cost_model)
+    state = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3, unique=True))
+    return Scenario(g, make_state(state), K=draw(st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["whole", "fractional"])
+@pytest.mark.parametrize(
+    "cost_model",
+    [CostModel(mode, waste) for mode in ("edge", "node") for waste in ("charged", "free")],
+    ids=lambda cm: f"{cm.mode}-{cm.waste}",
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_whole_number_ledgers_equal_the_fraction_rules(cost_model, fractional, data):
+    # The run prices committed actions and keeps its ledgers in whole numbers
+    # over the money scale M; each step's ledgers must be the running sums of
+    # AttackAction.cost and defense_cost, inside budget_at, as Fractions.
+    s = data.draw(ledger_runs(cost_model, fractional))
+    g = s.game
+    prices = StepCache(g).prices(StepCache(g).money_scale)
+    assert (prices.M > 1) == fractional
+    att = dfs = dfw = Fraction(0)
+    for step in run(s).steps:
+        d_cost, d_waste = defense_cost(step.defense_planned.recover, step.attack.normal, cost_model, g.defender_energy)
+        att += step.attack.cost(g.attacker_energy)
+        dfs += d_cost
+        dfw += d_waste
+        ledgers = (step.attacker_spent, step.attacker_wasted, step.defender_spent, step.defender_wasted)
+        assert ledgers == (att, 0, dfs, dfw)
+        assert all(type(v) is Fraction for v in ledgers)
+        for who, spent in ((ATTACKER, att), (DEFENDER, dfs)):
+            budget = budget_at(g.energy(who), step.k)
+            assert spent <= budget and prices.budget(who, step.k) == budget * prices.M
